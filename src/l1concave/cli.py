@@ -28,7 +28,7 @@ import numpy as np
 from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
-from .simulate import (KNOWN_METHODS, SimConfig, format_study_table, run_study,
+from .simulate import (SimConfig, combined_lambda_grid, format_study_table, run_study,
                        write_raw_csv, write_report_csv)
 from .solver import (RegressionProblem, default_lambda_grid, fit_combined,
                      objective_value, standardize, computable_certificate,
@@ -177,15 +177,20 @@ def cmd_path(args) -> int:
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
     else:
-        grid = default_lambda_grid(prob.X, prob.y, args.grid_size, args.grid_ratio)
-    path = solver.fit_path(prob, grid, spec.lambda0, tol=args.tol, max_iter=args.max_iter,
+        # the levels whose selection thresholds the study scans, for every kind
+        lam_max = float(default_lambda_grid(prob.X, prob.y, 1)[0])
+        try:
+            grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, lam_max,
+                                        args.grid_size, args.grid_ratio)
+        except ValueError as exc:  # lambda0 swamps lam_max in floating point
+            raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
+    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter,
                            cv_folds=args.folds, cv_seed=args.seed)
+    bic = bic_select(path, prob)
+    sel = bic
     if args.cv:
         sel = cv_select(prob, grid, folds=args.folds, seed=args.seed,
                         tol=args.tol, max_iter=args.max_iter)
-    else:
-        sel = bic_select(path, prob)
-    bic = bic_select(path, prob)
     rows = []
     for k, fit in enumerate(path.fits):
         r = prob.y - prob.X @ fit.beta
@@ -249,13 +254,7 @@ def _config_to_simconfig(conf: dict) -> SimConfig:
         if key not in kwargs:
             raise CLIError(f"config is missing required key {key!r}")
     if "methods" in conf:
-        methods = tuple(m.strip() for m in conf["methods"].split(",") if m.strip())
-        if not methods:
-            raise CLIError("methods list is empty")
-        for m in methods:
-            if m not in KNOWN_METHODS:
-                raise CLIError(f"unknown method {m!r}; expected one of {KNOWN_METHODS}")
-        kwargs["methods"] = methods
+        kwargs["methods"] = tuple(m.strip() for m in conf["methods"].split(",") if m.strip())
     if "beta0" in conf:
         kwargs["beta0"] = np.array([float(v) for v in conf["beta0"].split(",")])
     if "c_grid" in conf:
@@ -353,11 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid floor as a fraction of lambda_max")
     sp.add_argument("--lambdas", default=None,
                     help="explicit comma-separated strictly decreasing grid")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--bic", action="store_true", default=True,
-                       help="mark the BIC-selected row (default)")
-    group.add_argument("--cv", action="store_true", default=False,
-                       help="mark the cross-validation-selected row instead")
+    sp.add_argument("--cv", action="store_true",
+                    help="mark the cross-validation-selected row instead of the BIC one")
     sp.add_argument("--folds", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="path.csv")

@@ -15,19 +15,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class SelectionMetrics:
-    """Falsely discovered signs plus false positive/negative counts.
-
-    fs = 0 holds exactly when sgn(beta_hat) = sgn(beta0) componentwise,
-    with sgn(0) = 0 throughout.
-    """
-
-    fs: int
-    fp: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class SparseEigenvalue:
     """Smallest scaled singular value over k-sparse column subsets.
 
@@ -38,16 +25,6 @@ class SparseEigenvalue:
     value: float
     method: str
     evaluated: int
-
-
-@dataclass(frozen=True)
-class ConditionDiagnostics:
-    """Design-condition audit: sparse eigenvalue and restricted-eigenvalue bound."""
-
-    kappa0_hat: float
-    kappa_re_hat: float
-    method: str
-    samples: int
 
 
 def _pair(beta_hat, beta0):
@@ -69,11 +46,6 @@ def fp_fn(beta_hat, beta0) -> tuple[int, int]:
     a, b = _pair(beta_hat, beta0)
     sa, sb = a != 0.0, b != 0.0
     return int(np.sum(sa & ~sb)), int(np.sum(~sa & sb))
-
-
-def selection_metrics(beta_hat, beta0) -> SelectionMetrics:
-    fp, fn = fp_fn(beta_hat, beta0)
-    return SelectionMetrics(fs=false_signs(beta_hat, beta0), fp=fp, fn=fn)
 
 
 def lq_loss(beta_hat, beta0, q) -> float:
@@ -217,12 +189,3 @@ def equicorr_gram_infnorm(s: int, rho: float) -> float:
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     return (1.0 + rho * (s - 2.0) / (1.0 + (s - 1.0) * rho)) / (1.0 - rho)
-
-
-def condition_diagnostics(X, s: int, budget: int = 50_000, eig_samples: int = 2000,
-                          re_samples: int = 1000, seed=0) -> ConditionDiagnostics:
-    """Bundle the two design-condition diagnostics at sparsity level s."""
-    se = sparse_eigenvalue(X, 2 * s, budget=budget, samples=eig_samples, seed=seed)
-    re = restricted_eigenvalue_estimate(X, s, samples=re_samples, seed=seed)
-    return ConditionDiagnostics(kappa0_hat=se.value, kappa_re_hat=re,
-                                method=se.method, samples=re_samples)

@@ -149,11 +149,9 @@ def _derivative(p: PenaltySpec, t):
 def derivative_at_zero(p: PenaltySpec) -> float:
     """Right limit p'(0+); the largest slope of the concave component."""
     lam, a = p.lam, p.shape
-    if p.kind in ("l1", "hard", "scad"):
-        return lam
-    if p.kind == "mcp":
-        return lam
-    return lam * (a + 1.0) / a
+    if p.kind == "sica":
+        return lam * (a + 1.0) / a
+    return lam
 
 
 def _second_derivative(p: PenaltySpec, t):
@@ -187,7 +185,7 @@ def penalty_limit(p: PenaltySpec) -> float:
 
 def hard_value(lam: float, t):
     """Reference hard-thresholding penalty 0.5 * (lam^2 - (lam - t)_+^2)."""
-    return 0.5 * (lam**2 - np.clip(lam - np.asarray(t, dtype=float), 0.0, None) ** 2)
+    return penalty_value(PenaltySpec("hard", lam), t)
 
 
 def check_shape_conditions(p: PenaltySpec, c1: float, grid_n: int = 1000) -> ShapeCheckReport:

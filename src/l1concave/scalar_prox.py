@@ -20,8 +20,8 @@ import numpy as np
 
 from .penalty import PenaltySpec, penalty_value
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK = 8192
+_FINE_N = 1025  # points in the rescan of the winning cell
 _UNIT_GRIDS: dict[int, np.ndarray] = {}
 
 
@@ -264,51 +264,13 @@ def level_for_threshold(p: PenaltySpec, tau: float) -> float:
     return (d + 0.5 * a) ** 2 / (2.0 * (a + 1.0))
 
 
-def _value_closures(p: PenaltySpec):
-    """(scalar, vectorized) evaluators of the concave component, for the oracle."""
-    lam, a = p.lam, p.shape
-    if p.kind == "l1":
-        return (lambda b: lam * b), (lambda b: lam * b)
-    if p.kind == "hard":
-        lam2 = lam * lam
-
-        def sv(b):
-            g = lam - b
-            return 0.5 * (lam2 - g * g) if g > 0.0 else 0.5 * lam2
-
-        return sv, (lambda b: 0.5 * (lam2 - np.clip(lam - b, 0.0, None) ** 2))
-    if p.kind == "scad":
-        alam, denom, plim = a * lam, 2.0 * (a - 1.0), 0.5 * (a + 1.0) * lam**2
-
-        def sv(b):
-            if b <= lam:
-                return lam * b
-            if b <= alam:
-                return (2.0 * alam * b - b * b - lam * lam) / denom
-            return plim
-
-        def vv(b):
-            return np.where(b <= lam, lam * b,
-                            np.where(b <= alam, (2.0 * alam * b - b * b - lam * lam) / denom, plim))
-
-        return sv, vv
-    if p.kind == "mcp":
-        alam, plim = a * lam, 0.5 * a * lam**2
-
-        def sv(b):
-            return lam * b - b * b / (2.0 * a) if b <= alam else plim
-
-        return sv, (lambda b: np.where(b <= alam, lam * b - b * b / (2.0 * a), plim))
-    c = lam * (a + 1.0)
-    return (lambda b: c * b / (a + b)), (lambda b: c * b / (a + b))
-
-
 def prox_oracle(z: float, p: PenaltySpec, grid_n: int = 100_000) -> float:
     """Brute-force global minimizer by exhaustive grid search plus local refinement.
 
-    Searches [-|z| - lam, |z| + lam] on a grid_n-point grid, then refines the
-    winning cell by golden-section. Test oracle only; grid_n must be at least
-    1e5 so the grid alone pins the minimizer to ~1e-5.
+    Searches [-|z| - lam, |z| + lam] on a grid_n-point grid, then rescans the
+    winning cell on a finer grid; zero is an explicit candidate that wins
+    exact ties. Test oracle only; grid_n must be at least 1e5 so the grid
+    alone pins the minimizer to ~1e-5.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -318,42 +280,18 @@ def prox_oracle(z: float, p: PenaltySpec, grid_n: int = 100_000) -> float:
     half = abs(z) + p.lam
     if half == 0.0:
         return 0.0
-    sval, vval = _value_closures(p)
-    l0 = p.lambda0
     u = _unit_grid(grid_n)
     # scan in cache-sized chunks; temporaries stay resident so the sweep is
     # compute-bound instead of memory-bound
     best_val, i = math.inf, 0
     for s in range(0, grid_n, _CHUNK):
-        g = u[s:s + _CHUNK] * half
-        ag = np.abs(g)
-        v = 0.5 * (z - g) ** 2 + l0 * ag + vval(ag)
+        v = combined_objective(u[s:s + _CHUNK] * half, z, p)
         j = int(np.argmin(v))
         if v[j] < best_val:
             best_val, i = float(v[j]), s + j
     step = 2.0 * half / (grid_n - 1)
     gi = -half + step * i
-    lo = max(gi - step, -half)
-    hi = min(gi + step, half)
-
-    def q(b: float) -> float:
-        ab = abs(b)
-        return 0.5 * (z - b) ** 2 + l0 * ab + sval(ab)
-
-    # golden-section on the winning cell (smooth there except possibly at 0)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = q(x1), q(x2)
-    for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = q(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = q(x2)
-    best = min((q(gi), abs(gi), gi),
-               (f1, abs(x1), x1), (f2, abs(x2), x2),
-               (q(0.0), 0.0, 0.0))
-    return best[2]
+    fine = np.linspace(max(gi - step, -half), min(gi + step, half), _FINE_N)
+    v = combined_objective(fine, z, p)
+    j = int(np.argmin(v))
+    return float(fine[j]) if v[j] < combined_objective(0.0, z, p) else 0.0

@@ -161,6 +161,7 @@ def _pe(beta_hat, cfg: SimConfig, Sigma0, seed) -> float:
 
 def _row(cfg, r, method, beta_orig, Sigma0, pe_seed, fit=None, lam0=math.nan,
          c=math.nan, cert=None, noise_event=False) -> dict:
+    fp, fn = fp_fn(beta_orig, cfg.beta0)
     return {
         "replicate": r,
         "method": method,
@@ -168,8 +169,8 @@ def _row(cfg, r, method, beta_orig, Sigma0, pe_seed, fit=None, lam0=math.nan,
         "l2": lq_loss(beta_orig, cfg.beta0, 2),
         "l1": lq_loss(beta_orig, cfg.beta0, 1),
         "linf": lq_loss(beta_orig, cfg.beta0, math.inf),
-        "fp": fp_fn(beta_orig, cfg.beta0)[0],
-        "fn": fp_fn(beta_orig, cfg.beta0)[1],
+        "fp": fp,
+        "fn": fn,
         "fs": false_signs(beta_orig, cfg.beta0),
         "nnz": int(np.count_nonzero(beta_orig)),
         "lam": fit.penalty.lam if fit is not None else math.nan,
@@ -221,7 +222,7 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
             rows.append(_row(cfg, r, method, beta, Sigma0, pe_seed, noise_event=event))
         elif method == "lasso":
             path = fit_path(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)),
-                            lasso_grid, 0.0, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
+                            lasso_grid, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
             sel = bic_select(path, prob)
             fit = path.fits[sel.chosen_index]
             rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, pe_seed, fit=fit,
@@ -234,14 +235,13 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
                 grid = combined_lambda_grid(kind, None, lam0, lam_max,
                                             cfg.grid_size, cfg.grid_ratio)
                 path = fit_path(replace(prob, penalty=PenaltySpec(kind, grid[0], lambda0=lam0)),
-                                grid, lam0, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
+                                grid, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
                 sel = bic_select(path, prob)
                 val = float(sel.criterion_values[sel.chosen_index])
                 if best is None or val < best[0]:
                     best = (val, path.fits[sel.chosen_index], lam0, c)
             _, fit, lam0, c = best
-            cert = computable_certificate(fit, s_true, c2=3.0, c3=1.0,
-                                        lambda0=lam0, resid_const=4.0)
+            cert = computable_certificate(fit, s_true)
             rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, pe_seed, fit=fit,
                              lam0=lam0, c=c, cert=cert, noise_event=event))
     return rows

@@ -26,6 +26,13 @@ from .penalty import PenaltySpec, penalty_value
 
 _NORM_RTOL = 1e-8  # allowed relative deviation of column norms from sqrt(n)
 
+# computable-solution premises: ||b||_0 <= CERT_SPARSITY * s_hat,
+# ||n^-1 X'(y - Xb)||_inf <= CERT_RESIDUAL * lambda0 and lam >= CERT_LEVEL * lambda0;
+# the theory only fixes the O(lambda0) order of the residual bound
+CERT_SPARSITY = 3.0
+CERT_RESIDUAL = 4.0
+CERT_LEVEL = 1.0
+
 
 class DegenerateColumnError(ValueError):
     """A design column has zero norm and cannot be standardized."""
@@ -44,7 +51,6 @@ class RegressionProblem:
     y: np.ndarray
     penalty: PenaltySpec | None = None
     standardized: bool = False
-    intercept: bool = False
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -99,7 +105,6 @@ class PathResult:
     lambdas: np.ndarray
     fits: list[FitResult]
     lambda0: float
-    init_lambda: float | None = None
 
 
 @dataclass
@@ -182,8 +187,7 @@ def objective_value(X, y, beta, p: PenaltySpec) -> float:
     y = np.asarray(y, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
     r = y - X @ beta
-    ab = np.abs(beta)
-    return float(r @ r / (2.0 * X.shape[0]) + p.lambda0 * ab.sum() + np.sum(penalty_value(p, ab)))
+    return float(r @ r) / (2.0 * X.shape[0]) + _penalty_sum(beta, p)
 
 
 def _penalty_sum(beta, p: PenaltySpec) -> float:
@@ -282,13 +286,13 @@ def _require_standardized(prob: RegressionProblem):
 
 
 def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
-              max_iter: int = 1000, init=None, record_objectives: bool = False) -> FitResult:
+              max_iter: int = 1000, init=None) -> FitResult:
     """Cyclic coordinate descent with soft thresholding at level lam."""
     _require_standardized(prob)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     spec = PenaltySpec("l1", 0.0, lambda0=float(lam))
-    return _cd_fit(prob.X, prob.y, spec, init, tol, max_iter, record_objectives)
+    return _cd_fit(prob.X, prob.y, spec, init, tol, max_iter, False)
 
 
 def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
@@ -301,26 +305,16 @@ def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
     return _cd_fit(prob.X, prob.y, prob.penalty, init, tol, max_iter, record_objectives)
 
 
-def cv_lasso_level(prob: RegressionProblem, grid=None, folds: int = 10, seed: int = 0) -> float:
-    """Lasso level minimizing K-fold cross-validated prediction error."""
-    from .tuning import cv_select
-
-    if grid is None:
-        grid = default_lambda_grid(prob.X, prob.y)
-    l1prob = replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0))
-    sel = cv_select(l1prob, grid, folds=folds, seed=seed)
-    return float(grid[sel.chosen_index])
-
-
-def fit_path(prob: RegressionProblem, lambda_grid, lambda0: float, tol: float = 1e-7,
-             max_iter: int = 1000, init=None, lasso_init_lambda: float | None = None,
-             cv_folds: int = 10, cv_seed: int = 0) -> PathResult:
+def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: int = 1000,
+             init=None, cv_folds: int = 10, cv_seed: int = 0) -> PathResult:
     """Warm-started fits along a strictly decreasing concave-level grid.
 
-    The first fit starts from a lasso estimate: at lasso_init_lambda when
-    given, otherwise at a K-fold cross-validated lasso level. An explicit
-    init vector skips the lasso initialization. Per-fit nonconvergence is
-    recorded in the fit flags; the path never aborts.
+    Every fit uses prob.penalty with its level lam replaced by the grid
+    value; lambda0 and the shape come from prob.penalty. The first fit
+    starts from init, or when init is None from the lasso at the K-fold
+    cross-validated level (cross-validation runs at the same tol and
+    max_iter). Per-fit nonconvergence is recorded in the fit flags; the
+    path never aborts.
     """
     _require_standardized(prob)
     if prob.penalty is None:
@@ -334,40 +328,38 @@ def fit_path(prob: RegressionProblem, lambda_grid, lambda0: float, tol: float = 
         raise ValueError("lambda_grid must be strictly decreasing")
 
     if init is None:
-        if lasso_init_lambda is None:
-            lasso_init_lambda = cv_lasso_level(prob, folds=cv_folds, seed=cv_seed)
-        init = fit_lasso(prob, lasso_init_lambda, tol=tol, max_iter=max_iter).beta
+        from .tuning import cv_select
+
+        cv_grid = default_lambda_grid(prob.X, prob.y)
+        sel = cv_select(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)), cv_grid,
+                        folds=cv_folds, seed=cv_seed, tol=tol, max_iter=max_iter)
+        init = fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
 
     fits: list[FitResult] = []
     beta = np.asarray(init, dtype=float)
     for lam in grid:
-        pk = replace(prob.penalty, lam=float(lam), lambda0=float(lambda0))
-        fit = _cd_fit(prob.X, prob.y, pk, beta, tol, max_iter, False)
+        fit = _cd_fit(prob.X, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
+                      max_iter, False)
         fits.append(fit)
         beta = fit.beta
-    return PathResult(lambdas=grid, fits=fits, lambda0=float(lambda0),
-                      init_lambda=None if lasso_init_lambda is None else float(lasso_init_lambda))
+    return PathResult(lambdas=grid, fits=fits, lambda0=prob.penalty.lambda0)
 
 
-def computable_certificate(fit: FitResult, s_hat: int, c2: float = 3.0, c3: float = 1.0,
-                         lambda0: float | None = None, resid_const: float = 4.0) -> CertificateReport:
-    """Check the computable-solution premises on a finished fit.
-
-    sparsity: ||b||_0 <= c2 * s_hat; residual correlation:
-    ||n^-1 X'(y - Xb)||_inf <= resid_const * lambda0; level floor:
-    lam >= c3 * lambda0. resid_const defaults to 4 and is caller-chosen;
-    the theory only fixes the O(lambda0) order.
-    """
-    l0 = fit.penalty.lambda0 if lambda0 is None else float(lambda0)
+def computable_certificate(fit: FitResult, s_hat: int) -> CertificateReport:
+    """Check the computable-solution premises on a finished fit, at the fit's
+    own lambda0 and the module constants CERT_SPARSITY, CERT_RESIDUAL and
+    CERT_LEVEL."""
+    l0 = fit.penalty.lambda0
+    sparsity, residual, floor = CERT_SPARSITY * s_hat, CERT_RESIDUAL * l0, CERT_LEVEL * l0
     return CertificateReport(
-        sparsity_ok=fit.nnz <= c2 * s_hat,
-        residual_ok=fit.kkt_inf <= resid_const * l0,
-        lambda_ok=fit.penalty.lam >= c3 * l0,
+        sparsity_ok=fit.nnz <= sparsity,
+        residual_ok=fit.kkt_inf <= residual,
+        lambda_ok=fit.penalty.lam >= floor,
         nnz=fit.nnz,
         kkt_inf=fit.kkt_inf,
-        sparsity_bound=c2 * s_hat,
-        residual_bound=resid_const * l0,
-        lambda_floor=c3 * l0,
+        sparsity_bound=sparsity,
+        residual_bound=residual,
+        lambda_floor=floor,
     )
 
 

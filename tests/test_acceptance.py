@@ -199,7 +199,7 @@ def test_c07_refit_equals_oracle_when_support_recovered():
         spec = PenaltySpec("hard", 0.2, lambda0=lam0)
         prob = RegressionProblem(Xs, y, spec, standardized=True)
         grid = default_lambda_grid(Xs, y, 25, 0.05)
-        path = fit_path(prob, grid, lam0, lasso_init_lambda=2 * lam0)
+        path = fit_path(prob, grid, init=fit_lasso(prob, 2 * lam0).beta)
         fit = path.fits[bic_select(path, prob).chosen_index]
         beta_orig = scales * fit.beta
         if (np.sign(beta_orig) == np.sign(beta0)).all():

@@ -6,9 +6,9 @@ import pytest
 from l1concave.cli import main
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
-from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_path,
-                              standardize)
-from l1concave.tuning import bic_select
+from l1concave.simulate import combined_lambda_grid
+from l1concave.solver import RegressionProblem, fit_path, standardize
+from l1concave.tuning import bic_select, cv_select
 
 
 def write_csv(path, arr, header):
@@ -111,14 +111,44 @@ def test_path_single_and_marker(tmp_path):
     assert rc == 0
     header, rows = read_rows(out)
     selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
-    # cross-check the marker against the library selection
+    # cross-check the marker against the library selection on the study's grid
     Xs, _ = standardize(X)
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05),
                              standardized=True)
-    grid = default_lambda_grid(Xs, y, 8, 0.05)
-    path = fit_path(prob, grid, 0.05, cv_folds=10, cv_seed=0)
+    lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
+    grid = combined_lambda_grid("hard", None, 0.05, lam_max, 8, 0.05)
+    path = fit_path(prob, grid, cv_folds=10, cv_seed=0)
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
+
+
+def test_path_cv_marks_cv_choice(tmp_path, capsys):
+    dpath, rpath, X, y = make_data(tmp_path)
+    out = tmp_path / "path.csv"
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
+               "--grid-size", "6", "--folds", "3", "--cv", "--out", str(out)])
+    assert rc == 0 and "cv-selected" in capsys.readouterr().out
+    header, rows = read_rows(out)
+    selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
+    Xs, _ = standardize(X)
+    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05),
+                             standardized=True)
+    grid = [float(r[header.index("lambda")]) for r in rows]
+    assert selected == [cv_select(prob, grid, folds=3, seed=0).chosen_index]
+
+
+def test_path_sica_scans_study_thresholds(tmp_path):
+    # the default sica grid sweeps the same selection thresholds as the study
+    dpath, rpath, X, y = make_data(tmp_path)
+    out = tmp_path / "path.csv"
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "sica", "--lambda0", "0.05",
+               "--grid-size", "6", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_rows(out)
+    Xs, _ = standardize(X)
+    lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
+    grid = combined_lambda_grid("sica", None, 0.05, lam_max, 6, 0.05)
+    assert [float(r[header.index("lambda")]) for r in rows] == grid.tolist()
 
 
 def test_path_bad_grid_exits_1(tmp_path, capsys):
@@ -126,6 +156,11 @@ def test_path_bad_grid_exits_1(tmp_path, capsys):
     rc = main(["path", str(dpath), str(rpath), "--lambdas", "0.1,0.2"])
     assert rc == 1
     assert "decreasing" in capsys.readouterr().err
+    # a lambda0 so large that lambda0 + lam_max rounds to lambda0 leaves no grid
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "sica", "--lambda0", "1e20",
+               "--out", str(tmp_path / "path.csv")])
+    assert rc == 1
+    assert "--lambdas" in capsys.readouterr().err
 
 
 def test_study_config_errors(tmp_path, capsys):

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from l1concave.metrics import (ar1_covariance, condition_diagnostics,
-                               equicorr_gram_infnorm, false_signs, fp_fn, lq_loss,
-                               noise_event_check, prediction_error,
+from l1concave.metrics import (ar1_covariance, equicorr_gram_infnorm, false_signs,
+                               fp_fn, lq_loss, noise_event_check, prediction_error,
                                prediction_error_sampled,
-                               restricted_eigenvalue_estimate, selection_metrics,
-                               sparse_eigenvalue)
+                               restricted_eigenvalue_estimate, sparse_eigenvalue)
 
 
 def test_false_signs_examples():
@@ -39,8 +37,8 @@ def test_fp_fn():
     assert fp_fn(beta0, beta0) == (0, 0)
     assert fp_fn(np.array([1.0, 2.0, 0.5, -0.5, 0.1]), beta0) == (3, 0)
     assert fp_fn(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), beta0) == (0, 1)
-    sm = selection_metrics(np.array([1.0, 0.0, 0.5, 0.0, 0.0]), beta0)
-    assert (sm.fp, sm.fn, sm.fs) == (1, 1, 2)
+    b = np.array([1.0, 0.0, 0.5, 0.0, 0.0])
+    assert fp_fn(b, beta0) == (1, 1) and false_signs(b, beta0) == 2
 
 
 def test_lq_loss():
@@ -190,11 +188,3 @@ def test_equicorr_matches_direct_inverse():
             val = equicorr_gram_infnorm(s, rho)
             assert val == pytest.approx(direct, abs=1e-10)
             assert val <= 2.0 / (1.0 - rho) + 1e-12
-
-
-def test_condition_diagnostics_bundle():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((20, 10))
-    diag = condition_diagnostics(X, s=2, re_samples=50, seed=1)
-    assert diag.kappa0_hat > 0.0 and diag.kappa_re_hat > 0.0
-    assert diag.method == "exhaustive"

@@ -205,23 +205,23 @@ def test_fit_path_validation_and_single_point():
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
     prob, _, _ = random_problem(40, 20, 3, 0.2, seed=13, penalty=spec)
     with pytest.raises(ValueError):
-        fit_path(prob, [0.1, 0.2], 0.1)
+        fit_path(prob, [0.1, 0.2])
     with pytest.raises(ValueError):
-        fit_path(prob, [], 0.1)
+        fit_path(prob, [])
     with pytest.raises(ValueError):
-        fit_path(prob, [0.3, -0.1], 0.1)
-    path = fit_path(prob, [0.3], 0.1, lasso_init_lambda=0.2)
+        fit_path(prob, [0.3, -0.1])
     init = fit_lasso(prob, 0.2).beta
-    direct = fit_combined(replace(prob, penalty=replace(spec, lam=0.3, lambda0=0.1)), init=init)
+    path = fit_path(prob, [0.3], init=init)
+    direct = fit_combined(replace(prob, penalty=replace(spec, lam=0.3)), init=init)
     assert np.array_equal(path.fits[0].beta, direct.beta)
-    assert path.init_lambda == 0.2
+    assert path.lambda0 == spec.lambda0
 
 
 def test_fit_path_all_zero_at_lambda_max():
-    spec = PenaltySpec("hard", 0.3, lambda0=0.05)
+    spec = PenaltySpec("hard", 0.3, lambda0=0.0)
     prob, _, _ = random_problem(40, 20, 3, 0.2, seed=14, penalty=spec)
     lam_max = float(np.max(np.abs(prob.X.T @ prob.y)) / 40)
-    path = fit_path(prob, [lam_max + 0.1], 0.0, lasso_init_lambda=lam_max + 0.1)
+    path = fit_path(prob, [lam_max + 0.1], init=fit_lasso(prob, lam_max + 0.1).beta)
     assert path.fits[0].support.size == 0
 
 
@@ -229,11 +229,30 @@ def test_fit_path_warm_start_runs_and_cv_init():
     spec = PenaltySpec("scad", 0.3, lambda0=0.08)
     prob, beta0, scales = random_problem(60, 30, 4, 0.25, seed=15, penalty=spec)
     grid = default_lambda_grid(prob.X, prob.y, num=12, ratio=0.05)
-    path = fit_path(prob, grid, 0.08, cv_folds=5, cv_seed=1)
-    assert len(path.fits) == 12 and path.init_lambda is not None
+    path = fit_path(prob, grid, cv_folds=5, cv_seed=1)
+    assert len(path.fits) == 12
     assert all(f.converged for f in path.fits)
+    assert all(f.penalty == replace(spec, lam=lam) for f, lam in zip(path.fits, grid))
     nnz = [f.nnz for f in path.fits]
     assert nnz[-1] >= nnz[0]
+
+
+def test_fit_path_cv_start_uses_path_tol_and_max_iter(monkeypatch):
+    # the cross-validated lasso start runs at the path's own tol and max_iter
+    from l1concave import tuning
+
+    seen = []
+    real = tuning.cv_select
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs.get("tol"), kwargs.get("max_iter")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "cv_select", spy)
+    spec = PenaltySpec("scad", 0.3, lambda0=0.08)
+    prob, _, _ = random_problem(40, 20, 3, 0.25, seed=18, penalty=spec)
+    fit_path(prob, [0.3, 0.2], tol=1e-4, max_iter=37, cv_folds=3)
+    assert seen == [(1e-4, 37)]
 
 
 def test_computable_certificate_checks():
@@ -243,10 +262,12 @@ def test_computable_certificate_checks():
     cert = computable_certificate(zero, s_hat=0)
     assert cert.sparsity_ok  # an all-zero fit is trivially sparse enough
     fit = fit_combined(prob)
-    bad = computable_certificate(fit, s_hat=3, lambda0=fit.kkt_inf / 10.0, resid_const=4.0)
-    assert not bad.residual_ok
-    good = computable_certificate(fit, s_hat=3, c3=1.0, lambda0=0.1)
-    assert good.lambda_ok == (spec.lam >= 0.1)
+    # the certificate reads lambda0 from the fit's own penalty
+    low = replace(fit, penalty=replace(spec, lambda0=fit.kkt_inf / 10.0))
+    bad = computable_certificate(low, s_hat=3)
+    assert not bad.residual_ok and bad.residual_bound == 4.0 * low.penalty.lambda0
+    good = computable_certificate(fit, s_hat=3)
+    assert good.lambda_ok == (spec.lam >= 0.1) and good.lambda_floor == spec.lambda0
 
 
 def test_refit_ls():
