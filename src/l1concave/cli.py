@@ -22,6 +22,7 @@ import argparse
 import csv
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -278,6 +279,11 @@ def cmd_study(args) -> int:
     write_raw_csv(report, raw_path)
     print(format_study_table(report))
     print(f"wrote {report_path} and {raw_path}")
+    unconverged = Counter(row["method"] for row in report.rows if not row["converged"])
+    if unconverged:
+        counts = ", ".join(f"{m} {k}" for m, k in unconverged.items())
+        print(f"nonconverged fits per method: {counts}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -228,11 +228,19 @@ def prox_combined(z: float, p: PenaltySpec) -> float:
     return make_prox(p)(z)
 
 
-def zero_threshold(p: PenaltySpec) -> float:
-    """Largest t such that prox_combined(z, p) = 0 for all |z| <= t.
+# relative margin below zero_threshold inside which every scalar prox returns
+# exactly 0.0; at the threshold itself rounding in the candidate comparison can
+# pick a tiny nonzero minimizer
+ZERO_MARGIN = 1e-9
 
-    lambda0 + lam for l1/hard/scad/mcp. For sica the minimizer jumps: the
-    tie between zero and the interior stationary point happens at
+
+def zero_threshold(p: PenaltySpec) -> float:
+    """The threshold t at which the prox leaves zero, in exact arithmetic.
+
+    In floating point, prox_combined(z, p) = 0.0 exactly for all
+    |z| <= t * (1 - ZERO_MARGIN); at |z| = t a rounded tie may go either
+    way. lambda0 + lam for l1/hard/scad/mcp. For sica the minimizer jumps:
+    the tie between zero and the interior stationary point happens at
     lambda0 + sqrt(2 lam (a+1)) - a/2 once 2 lam (a+1) > a^2, and entry is
     continuous at lambda0 + lam (a+1)/a below that. Used for screening in
     the coordinate-descent solver.

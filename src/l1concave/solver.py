@@ -8,11 +8,17 @@ sqrt(n)) is
 Each coordinate update is the exact global minimizer of its univariate
 subproblem, so the objective never increases; a violation of that
 monotonicity is treated as an internal error. Sweeps run in fixed ascending
-coordinate order. A screening pass (one matvec plus the exact zero-entry
+coordinate order. A screening pass (one matvec plus the zero-entry
 threshold of the scalar prox) restricts work to an active set between full
-sweeps; convergence is only declared after a genuine full sweep over all
-coordinates changes no coefficient by tol or more, and a final no-update
-sweep certifies coordinatewise global optimality.
+sweeps; convergence is only declared after a full sweep changes no
+coefficient by tol or more. The full sweep skips a zero coordinate only when
+its target provably stays inside the prox's zero zone (below
+zero_threshold * (1 - ZERO_MARGIN)), bounding the target by the matvec at
+the start of the sweep plus the total coefficient change since, so it makes
+exactly the updates a sweep over all coordinates would. The certificate
+recomputes the residual and the gradient from scratch and checks the
+coordinatewise-global condition prox(grad_j + b_j) = b_j on every
+coordinate not provably in the zero zone.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from .penalty import PenaltySpec, penalty_value
 
 _NORM_RTOL = 1e-8  # allowed relative deviation of column norms from sqrt(n)
+_EPS = np.finfo(float).eps
 
 # computable-solution premises: ||b||_0 <= CERT_SPARSITY * s_hat,
 # ||n^-1 X'(y - Xb)||_inf <= CERT_RESIDUAL * lambda0 and lam >= CERT_LEVEL * lambda0;
@@ -104,7 +111,6 @@ class PathResult:
 
     lambdas: np.ndarray
     fits: list[FitResult]
-    lambda0: float
 
 
 @dataclass
@@ -197,7 +203,7 @@ def _penalty_sum(beta, p: PenaltySpec) -> float:
 
 def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
     """Shared coordinate-descent engine. X must be standardized."""
-    from .scalar_prox import make_prox, zero_threshold
+    from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
     n, p = X.shape
     Xf = np.asfortranarray(X)
@@ -206,23 +212,35 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
         raise ValueError("init has wrong length")
     prox = make_prox(penalty)
     zthr = zero_threshold(penalty)
+    zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
 
     col_dev = float(np.max(np.abs((X**2).sum(axis=0) / n - 1.0)))
+    # |x_j'x_k| / n <= 1 + col_dev (Cauchy-Schwarz); fp bounds the rounding of
+    # the dot products and residual updates relative to the residual's scale
+    fp = 4.0 * (n + p) * _EPS
+    grow = (1.0 + col_dev) * (1.0 + fp)
     r = y - Xf @ beta
     prev_obj = float(r @ r) / (2.0 * n) + _penalty_sum(beta, penalty)
     objs = [prev_obj] if record else None
 
-    def sweep(idx) -> float:
+    def sweep(idx, room=None) -> float:
+        # room[j] is how far |z_j| sat below the zero zone's edge, less a
+        # rounding guard, when the sweep began; a zero coordinate is skipped
+        # while the change summed over this sweep cannot have lifted |z_j|
+        # out of the zone
         nonlocal r
-        delta = 0.0
+        delta = drift = 0.0
         for j in idx:
             bj = beta[j]
+            if room is not None and bj == 0.0 and grow * drift <= room[j]:
+                continue
             xj = Xf[:, j]
             nb = prox(float(xj @ r) / n + bj)
             if nb != bj:
                 r += xj * (bj - nb)
                 beta[j] = nb
                 d = abs(nb - bj)
+                drift += d
                 if d > delta:
                     delta = d
         return delta
@@ -255,18 +273,21 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
         if sweeps >= max_iter:
             break
         sweeps += 1
-        delta = sweep(all_idx)
+        rounding = fp * math.sqrt(float(r @ r) / n)
+        delta = sweep(all_idx, (zero_zone - rounding - np.abs(Xf.T @ r) / n).tolist())
         check_objective()
         if delta < tol:
             converged = True
             break
 
-    # recompute the certificate quantities from scratch
+    # recompute the certificate quantities from scratch; a zero coordinate
+    # with |grad_j| in the zero zone satisfies prox(grad_j) = 0 exactly
     r = y - Xf @ beta
     grad = Xf.T @ r / n
     kkt_inf = float(np.max(np.abs(grad))) if p else 0.0
     objective = float(r @ r) / (2.0 * n) + _penalty_sum(beta, penalty)
-    cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in range(p)), default=0.0)
+    check = np.flatnonzero((beta != 0.0) | (np.abs(grad) > zero_zone))
+    cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in check), default=0.0)
     return FitResult(
         beta=beta,
         support=np.flatnonzero(beta),
@@ -342,7 +363,7 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
                       max_iter, False)
         fits.append(fit)
         beta = fit.beta
-    return PathResult(lambdas=grid, fits=fits, lambda0=prob.penalty.lambda0)
+    return PathResult(lambdas=grid, fits=fits)
 
 
 def computable_certificate(fit: FitResult, s_hat: int) -> CertificateReport:

@@ -190,6 +190,20 @@ def test_study_reps1_deterministic(tmp_path):
     assert (tmp_path / "raw2.csv").read_bytes() == first
 
 
+def test_study_nonconvergence_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "n = 24\np = 10\nreps = 1\nseed = 11\nsigma = 0.3\n"
+        "methods = lasso, oracle\ngrid_size = 8\ncv_folds = 3\nmax_iter = 1\n"
+        f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw.csv'}\n"
+    )
+    assert main(["study", "--config", str(cfg), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "nonconverged fits per method: lasso 1" in err
+    assert "oracle" not in err
+    assert (tmp_path / "raw.csv").exists()
+
+
 def test_csv_roundtrip_bit_for_bit(tmp_path):
     from l1concave.cli import read_matrix_csv
 

@@ -2,17 +2,24 @@
 
 Every property must hold bit for bit, including the number of sweeps: the
 solver's arithmetic is symmetric under each transformation, so any
-difference is a bug rather than rounding.
+difference is a bug rather than rounding. The same holds against an
+unscreened copy of the engine: the solver's zero-skip screen may only skip
+coordinate visits whose outcome is known.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1concave import scalar_prox
 from l1concave.penalty import KINDS, PenaltySpec
-from l1concave.solver import RegressionProblem, fit_combined, fit_path, standardize
+from l1concave.simulate import combined_lambda_grid, gen_design, study_beta0
+from l1concave.solver import (RegressionProblem, fit_combined, fit_lasso, fit_path, standardize,
+                              universal_lambda0)
 
 SHAPES = {"scad": (2.1, 5.0), "mcp": (1.1, 4.0), "sica": (0.05, 2.0)}
 
@@ -20,10 +27,11 @@ SMALL = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def problems(draw):
-    """A standardized problem with n <= 30, p <= 12 and a penalty of any kind."""
+def problems(draw, wide=False):
+    """A standardized problem with n <= 30 and a penalty of any kind; p <= 12,
+    or n < p <= 60 with about five nonzero true coefficients when wide."""
     n = draw(st.integers(5, 30))
-    p = draw(st.integers(1, 12))
+    p = draw(st.integers(n + 1, 60) if wide else st.integers(1, 12))
     kind = draw(st.sampled_from(KINDS))
     lo, hi = SHAPES.get(kind, (0.0, 0.0))
     shape = draw(st.floats(lo, hi)) if kind in SHAPES else None
@@ -31,7 +39,7 @@ def problems(draw):
                        shape=shape)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X, _ = standardize(rng.standard_normal((n, p)))
-    beta0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
+    beta0 = rng.standard_normal(p) * (rng.random(p) < (5.0 / p if wide else 0.5))
     y = X @ beta0 + 0.5 * rng.standard_normal(n)
     return RegressionProblem(X, y, penalty=spec, standardized=True)
 
@@ -73,3 +81,134 @@ def test_path_fit_equals_fit_combined(prob, levels):
         direct = fit_combined(replace(prob, penalty=replace(prob.penalty, lam=lam)), init=init)
         assert_same_fit(fit, direct)
         init = fit.beta
+
+
+def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000):
+    """The coordinate-descent engine without the zero-skip screen: every full
+    sweep visits all p coordinates and the certificate checks all of them.
+    Returns (beta, iterations, converged, kkt_inf, coordinatewise_global)."""
+    n, p = X.shape
+    Xf = np.asfortranarray(X)
+    beta = np.zeros(p) if init is None else np.array(init, dtype=float)
+    prox = scalar_prox.make_prox(spec)
+    zthr = scalar_prox.zero_threshold(spec)
+    r = y - Xf @ beta
+
+    def sweep(idx):
+        nonlocal r
+        delta = 0.0
+        for j in idx:
+            bj = beta[j]
+            xj = Xf[:, j]
+            nb = prox(float(xj @ r) / n + bj)
+            if nb != bj:
+                r += xj * (bj - nb)
+                beta[j] = nb
+                delta = max(delta, abs(nb - bj))
+        return delta
+
+    sweeps, converged = 0, False
+    while sweeps < max_iter:
+        z = Xf.T @ r / n + beta
+        active = np.flatnonzero((beta != 0.0) | (np.abs(z) > zthr))
+        while active.size and sweeps < max_iter:
+            sweeps += 1
+            if sweep(active) < tol:
+                break
+        if sweeps >= max_iter:
+            break
+        sweeps += 1
+        if sweep(range(p)) < tol:
+            converged = True
+            break
+    r = y - Xf @ beta
+    grad = Xf.T @ r / n
+    cw_dev = max(abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in range(p))
+    return (beta, sweeps, converged, float(np.max(np.abs(grad))),
+            bool(converged and cw_dev < 10.0 * tol))
+
+
+def assert_same_as_unscreened(fit, prob, spec, init):
+    beta, iterations, converged, kkt_inf, cw_global = unscreened_cd_fit(
+        prob.X, prob.y, spec, init)
+    assert np.array_equal(fit.beta, beta)
+    assert fit.iterations == iterations
+    assert fit.converged == converged
+    assert fit.coordinatewise_global == cw_global
+    assert fit.kkt_inf == kkt_inf
+
+
+@SMALL
+@given(problems(wide=True))
+def test_screened_fits_equal_unscreened_engine(prob):
+    spec = prob.penalty
+    lasso = fit_lasso(prob, spec.lambda0 + spec.lam)
+    assert_same_as_unscreened(lasso, prob, PenaltySpec("l1", 0.0, spec.lambda0 + spec.lam), None)
+    fit = fit_combined(prob, init=lasso.beta)
+    assert_same_as_unscreened(fit, prob, spec, lasso.beta)
+
+
+def test_screened_sica_path_equals_unscreened_engine(monkeypatch):
+    n, p = 80, 200
+    X, _ = standardize(gen_design(n, p, 0.5, 20240817))
+    y = X @ study_beta0(p) + 0.25 * np.random.default_rng(7).standard_normal(n)
+    lam0 = universal_lambda0(n, p, 0.25)
+    spec = PenaltySpec("sica", 0.0, lambda0=lam0, shape=0.1)
+    prob = RegressionProblem(X, y, penalty=spec, standardized=True)
+    lam_max = float(np.max(np.abs(X.T @ y)) / n)
+    grid = combined_lambda_grid("sica", 0.1, lam0, lam_max, num=15)
+
+    calls = [0]
+    make_prox = scalar_prox.make_prox
+
+    def counting_make_prox(s):
+        prox = make_prox(s)
+
+        def counted(z):
+            calls[0] += 1
+            return prox(z)
+        return counted
+
+    init = fit_lasso(prob, 0.2 * lam_max).beta
+    monkeypatch.setattr(scalar_prox, "make_prox", counting_make_prox)
+    path = fit_path(prob, grid, init=init)
+    screened_calls, calls[0] = calls[0], 0
+    for lam, fit in zip(grid, path.fits):
+        assert fit.coordinatewise_global
+        assert_same_as_unscreened(fit, prob, replace(spec, lam=float(lam)), init)
+        init = fit.beta
+    # the screen skips most visits of the closing full sweeps and certificates
+    assert screened_calls < 0.5 * calls[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_screen_accounts_for_changes_earlier_in_the_sweep(kind):
+    # orthogonal +-1 patterns make a design where the closing full sweep moves
+    # coordinate 0, and that move lifts |z_1| from 0.3, inside the zero zone
+    # at the start of the sweep, past the threshold 0.5 before 1 is visited
+    h1, h2, h3 = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1]])
+    X = np.column_stack([(h2 - h1) / math.sqrt(2), (h3 - h2) / math.sqrt(2), h1])
+    y = 2.0 * h1 + 2.5 * h2 + (2.5 + 0.3 * math.sqrt(2)) * h3
+    spec = PenaltySpec(kind, 0.3, lambda0=0.2) if kind != "l1" else PenaltySpec("l1", 0.0, 0.5)
+    prob = RegressionProblem(X, y, penalty=spec, standardized=True)
+    fit = fit_combined(prob) if kind != "l1" else fit_lasso(prob, 0.5)
+    assert_same_as_unscreened(fit, prob, spec, None)
+
+
+def test_screen_guards_against_rounding_at_a_tiny_threshold():
+    # x_0 is orthogonal to y and to the other columns, so n^-1 x_0'r is pure
+    # rounding; with the L1 level between the matvec's and the dot product's
+    # rounding of it, a screen without a rounding guard can skip a coordinate
+    # that the unscreened engine moves
+    n, p = 40, 4
+    for seed in range(250):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, p + 1)))
+        X = Q[:, :p] * math.sqrt(n)
+        y = X[:, 1:] @ rng.standard_normal(p - 1) + 0.3 * math.sqrt(n) * Q[:, p]
+        lam = 0.5 * (abs(float(X[:, 0] @ y)) + abs(float((X.T @ y)[0]))) / n
+        init = np.linalg.lstsq(X, y, rcond=None)[0]
+        init[0] = 0.0
+        prob = RegressionProblem(X, y, standardized=True)
+        fit = fit_lasso(prob, lam, init=init)
+        assert_same_as_unscreened(fit, prob, PenaltySpec("l1", 0.0, lam), init)

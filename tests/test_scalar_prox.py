@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1concave.penalty import KINDS, PenaltySpec, check_shape_conditions
-from l1concave.scalar_prox import (_real_cubic_roots, combined_objective,
+from l1concave.scalar_prox import (ZERO_MARGIN, _real_cubic_roots, combined_objective,
                                    level_for_threshold, make_prox, prox_combined,
                                    prox_oracle, zero_threshold)
 
@@ -112,6 +114,37 @@ def test_zero_threshold_exact():
             prox = make_prox(p)
             assert prox(t * (1 - 1e-7)) == 0.0
             assert prox(t * (1 + 1e-7) + 1e-12) != 0.0
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def specs_any_scale(draw):
+    """Any kind at log-uniform levels (lambda0 may be 0); sica draws its branch
+    (2 lam (a+1) <= a^2, continuous entry, or > a^2, a jump) explicitly."""
+    kind = draw(st.sampled_from(KINDS))
+    lambda0 = draw(st.just(0.0) | log_uniform(1e-6, 1e2))
+    shape = None
+    if kind == "sica":
+        shape = draw(log_uniform(1e-3, 1e2))
+        edge = shape * shape / (2.0 * (shape + 1.0))  # lam where the branches meet
+        lam = edge * draw(st.one_of(log_uniform(1e-4, 1.0), log_uniform(1.0 + 1e-9, 1e4)))
+    else:
+        lam = draw(log_uniform(1e-6, 1e2))
+        shape = {"scad": draw(log_uniform(2.0 + 1e-6, 50.0)),
+                 "mcp": draw(log_uniform(1.0 + 1e-6, 50.0))}.get(kind)
+    return PenaltySpec(kind, lam, lambda0=lambda0, shape=shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_any_scale(), st.just(1.0) | st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
+def test_prox_is_exactly_zero_inside_the_zero_zone(spec, u, sign):
+    # the premise of the solver's zero-skip screen and certificate; u = 1,
+    # the edge of the zone, is a branch of its own
+    z = sign * u * zero_threshold(spec) * (1.0 - ZERO_MARGIN)
+    assert make_prox(spec)(z) == 0.0
 
 
 def test_level_for_threshold_inverts():

@@ -214,7 +214,7 @@ def test_fit_path_validation_and_single_point():
     path = fit_path(prob, [0.3], init=init)
     direct = fit_combined(replace(prob, penalty=replace(spec, lam=0.3)), init=init)
     assert np.array_equal(path.fits[0].beta, direct.beta)
-    assert path.lambda0 == spec.lambda0
+    assert all(fit.penalty.lambda0 == spec.lambda0 for fit in path.fits)
 
 
 def test_fit_path_all_zero_at_lambda_max():

@@ -35,7 +35,7 @@ def test_bic_matches_independent_recompute():
         fit = fit_lasso(prob, float(lam), init=beta)
         beta = fit.beta
         fits.append(fit)
-    path = PathResult(lambdas=grid, fits=fits, lambda0=0.0)
+    path = PathResult(lambdas=grid, fits=fits)
     sel = bic_select(path, prob)
     n = len(prob.y)
     for k, fit in enumerate(fits):
@@ -48,7 +48,7 @@ def test_bic_matches_independent_recompute():
 def test_bic_single_fit_path():
     prob = lasso_problem(20, 5, seed=2)
     fit = fit_lasso(prob, 0.2)
-    path = PathResult(lambdas=np.array([0.2]), fits=[fit], lambda0=0.0)
+    path = PathResult(lambdas=np.array([0.2]), fits=[fit])
     assert bic_select(path, prob).chosen_index == 0
 
 
@@ -60,7 +60,7 @@ def test_bic_equal_rss_prefers_sparser():
     prob = RegressionProblem(X, y)
     dense = make_fit([0.2] * 5 + [0.0])
     sparse = make_fit([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-    path = PathResult(lambdas=np.array([0.2, 0.1]), fits=[dense, sparse], lambda0=0.0)
+    path = PathResult(lambdas=np.array([0.2, 0.1]), fits=[dense, sparse])
     sel = bic_select(path, prob)
     assert sel.chosen_index == 1
 
@@ -70,7 +70,7 @@ def test_bic_rss_floor_flagged():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     prob = RegressionProblem(X, y)
     exact = make_fit(y)  # interpolating fit, RSS exactly zero
-    path = PathResult(lambdas=np.array([0.1]), fits=[exact], lambda0=0.0)
+    path = PathResult(lambdas=np.array([0.1]), fits=[exact])
     sel = bic_select(path, prob)
     assert sel.floored == (0,)
     assert sel.criterion_values[0] == 4 * math.log(1e-300) + 4 * math.log(4)
