@@ -29,7 +29,7 @@ import numpy as np
 from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
-from .simulate import (SimConfig, combined_lambda_grid, format_study_table, run_study,
+from .simulate import (SimConfig, _fmt, combined_lambda_grid, format_study_table, run_study,
                        write_raw_csv, write_report_csv)
 from .solver import (RegressionProblem, default_lambda_grid, fit_combined,
                      objective_value, standardize, computable_certificate,
@@ -40,10 +40,6 @@ from . import solver
 
 class CLIError(Exception):
     """Input or configuration error; exits with status 1."""
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

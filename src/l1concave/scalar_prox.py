@@ -5,10 +5,12 @@ For a scalar target z the coordinate subproblem is
     minimize over b:  0.5 * (z - b)^2 + lambda0 * |b| + p(|b|),
 
 with p the concave component of a PenaltySpec. The solution is computed
-exactly: a closed form for the hard kind, soft thresholding for the l1 kind,
-and candidate enumeration over the finitely many stationary points of the
-piecewise-smooth objective otherwise. A brute-force grid-search oracle is
-provided for testing.
+exactly. Soft thresholding by lambda0 leaves w = |z| - lambda0 and the
+concave kind's own thresholding problem 0.5 (w - b)^2 + p(b), which has a
+closed form for l1 and hard, and for scad (a > 2) and mcp (a > 1), where it
+is strictly convex (Fan & Li 2001; Breheny & Huang 2011). For sica the one
+interior local minimizer, a root of a cubic, is compared against zero. A
+brute-force grid-search oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -43,18 +45,6 @@ def combined_objective(beta, z: float, p: PenaltySpec):
     return out
 
 
-def _best(cands, q):
-    # smallest objective; exact ties resolve to the smallest magnitude
-    best_b, best_q = 0.0, q(0.0)
-    for b in sorted(set(cands)):
-        if b <= 0.0:
-            continue
-        qb = q(b)
-        if qb < best_q:
-            best_b, best_q = b, qb
-    return best_b
-
-
 def _real_cubic_roots(b2: float, b1: float, b0: float) -> list[float]:
     """Real roots of t^3 + b2 t^2 + b1 t + b0 (Cardano / trigonometric form)."""
     shift = b2 / 3.0
@@ -81,8 +71,10 @@ def make_prox(p: PenaltySpec):
     """Build a fast scalar callable returning the global minimizer for this penalty.
 
     The returned function closes over plain floats so it is cheap enough for
-    the coordinate-descent inner loop. For every kind it computes the exact
-    global minimizer: ties resolve to zero (the sparser solution).
+    the coordinate-descent inner loop. l1, hard, scad and mcp return their
+    closed forms, which hold where the subproblem is convex or its minimizer
+    is known; sica compares its one interior local minimizer against zero,
+    with a bisection fallback. Ties resolve to zero (the sparser solution).
     """
     lam, l0, a = p.lam, p.lambda0, p.shape
 
@@ -107,63 +99,47 @@ def make_prox(p: PenaltySpec):
         return prox
 
     if p.kind == "scad":
-        half = 0.5
         alam = a * lam
-        plimit = 0.5 * (a + 1.0) * lam**2
-        denom = 2.0 * (a - 1.0)
-
-        def value(b: float) -> float:
-            if b <= lam:
-                return lam * b
-            if b <= alam:
-                return (2.0 * alam * b - b * b - lam * lam) / denom
-            return plimit
 
         def prox(z: float) -> float:
             az = abs(z)
             if az == 0.0:
                 return 0.0
             w = az - l0
-
-            def q(b: float) -> float:
-                return half * (az - b) ** 2 + l0 * b + value(b)
-
-            # each quadratic piece is strictly convex (a > 2), so its minimum
-            # is the stationary point clamped to the piece
-            c1 = min(max(w - lam, 0.0), lam)
-            c2 = min(max(((a - 1.0) * w - alam) / (a - 2.0), lam), alam)
-            c3 = min(max(w, alam), max(alam, az))
-            b = _best((c1, c2, c3), q)
+            # soft threshold up to 2 lam, the strictly convex (a > 2) middle
+            # piece clamped to [lam, alam], no shrinkage beyond alam
+            if w <= 2.0 * lam:
+                b = max(w - lam, 0.0)
+            elif w <= alam:
+                b = min(max(((a - 1.0) * w - alam) / (a - 2.0), lam), alam)
+            else:
+                b = w
             return math.copysign(b, z)
 
         return prox
 
     if p.kind == "mcp":
         alam = a * lam
-        plimit = 0.5 * a * lam**2
-
-        def value(b: float) -> float:
-            if b <= alam:
-                return lam * b - b * b / (2.0 * a)
-            return plimit
 
         def prox(z: float) -> float:
             az = abs(z)
             if az == 0.0:
                 return 0.0
             w = az - l0
-
-            def q(b: float) -> float:
-                return 0.5 * (az - b) ** 2 + l0 * b + value(b)
-
-            c1 = min(max((w - lam) * a / (a - 1.0), 0.0), alam)
-            c2 = min(max(w, alam), max(alam, az))
-            b = _best((c1, c2), q)
+            # firm thresholding; strictly convex for a > 1
+            if w <= lam:
+                b = 0.0
+            elif w <= alam:
+                b = min((w - lam) * a / (a - 1.0), alam)
+            else:
+                b = w
             return math.copysign(b, z)
 
         return prox
 
-    # sica: stationary points solve (b - w)(a + b)^2 + lam a (a+1) = 0, a cubic
+    # sica: stationary points solve (b - w)(a + b)^2 + lam a (a+1) = 0, a cubic.
+    # p''' > 0 makes q'(b) = b - w + p'(b) strictly convex on [0, inf), so the
+    # largest stationary point is the only local minimizer in (0, |z|]
     coef = lam * a * (a + 1.0)
 
     def pval(b: float) -> float:
@@ -172,6 +148,9 @@ def make_prox(p: PenaltySpec):
     def pderiv(b: float) -> float:
         return coef / (a + b) ** 2
 
+    def q(az: float, b: float) -> float:
+        return 0.5 * (az - b) ** 2 + l0 * b + pval(b)
+
     deriv0 = coef / (a * a)  # p'(0+)
 
     def prox(z: float) -> float:
@@ -179,24 +158,20 @@ def make_prox(p: PenaltySpec):
         if az == 0.0:
             return 0.0
         w = az - l0
-
-        def q(b: float) -> float:
-            return 0.5 * (az - b) ** 2 + l0 * b + pval(b)
-
-        roots = _real_cubic_roots(2.0 * a - w, a * a - 2.0 * a * w, coef - w * a * a)
-        cands = []
-        for r in roots:
-            if r < -1e-12 or r > az * (1.0 + 1e-12) + 1e-300:
-                continue
-            b = min(max(r, 0.0), az)
+        q0 = q(az, 0.0)
+        best = 0.0
+        roots = [r for r in _real_cubic_roots(2.0 * a - w, a * a - 2.0 * a * w, coef - w * a * a)
+                 if -1e-12 <= r <= az * (1.0 + 1e-12) + 1e-300]
+        if roots:
+            b = min(max(max(roots), 0.0), az)
             for _ in range(2):  # Newton polish on q'(b) = b - w + p'(b)
                 g = b - w + pderiv(b)
                 h = 1.0 - 2.0 * coef / (a + b) ** 3
                 if h <= 1e-12:
                     break
                 b = min(max(b - g / h, 0.0), az)
-            cands.append(b)
-        best = _best(cands, q)
+            if q(az, b) < q0:
+                best = b
         if best == 0.0 and w > deriv0:
             # zero is not even locally optimal, so a stationary point in
             # (0, w) exists; the cubic solver can miss it next to a double
@@ -210,7 +185,7 @@ def make_prox(p: PenaltySpec):
                     lo = mid
                 else:
                     hi = mid
-            if q(lo) < q(0.0):
+            if q(az, lo) < q0:
                 best = lo
         return math.copysign(best, z)
 
@@ -229,8 +204,8 @@ def prox_combined(z: float, p: PenaltySpec) -> float:
 
 
 # relative margin below zero_threshold inside which every scalar prox returns
-# exactly 0.0; at the threshold itself rounding in the candidate comparison can
-# pick a tiny nonzero minimizer
+# exactly 0.0; near the threshold sica's comparison of its candidate against
+# zero can round either way
 ZERO_MARGIN = 1e-9
 
 
@@ -238,12 +213,15 @@ def zero_threshold(p: PenaltySpec) -> float:
     """The threshold t at which the prox leaves zero, in exact arithmetic.
 
     In floating point, prox_combined(z, p) = 0.0 exactly for all
-    |z| <= t * (1 - ZERO_MARGIN); at |z| = t a rounded tie may go either
-    way. lambda0 + lam for l1/hard/scad/mcp. For sica the minimizer jumps:
-    the tie between zero and the interior stationary point happens at
-    lambda0 + sqrt(2 lam (a+1)) - a/2 once 2 lam (a+1) > a^2, and entry is
-    continuous at lambda0 + lam (a+1)/a below that. Used for screening in
-    the coordinate-descent solver.
+    |z| <= t * (1 - ZERO_MARGIN). Only sica needs that margin: l1 and hard
+    return 0.0 up to |z| = t, and scad and mcp up to t * (1 - eps), where
+    only the rounding of |z| - lambda0 separates them from t; for sica a
+    rounded tie near t may go either way. t = lambda0 + lam for
+    l1/hard/scad/mcp. For sica the minimizer jumps: the tie between zero
+    and the interior stationary point happens at lambda0 + sqrt(2 lam (a+1))
+    - a/2 once 2 lam (a+1) > a^2, and entry is continuous at
+    lambda0 + lam (a+1)/a below that. Used for screening in the
+    coordinate-descent solver.
     """
     if p.kind in ("l1", "hard", "scad", "mcp"):
         return p.lambda0 + p.lam

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import (DegenerateColumnError, PathResult, RegressionProblem,
-                     _cd_fit, standardize)
+from .solver import (DegenerateColumnError, PathResult, RegressionProblem, fit_path,
+                     standardize)
 
 _RSS_FLOOR = 1e-300
 
@@ -79,8 +79,8 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
               assignment=None, tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
     """K-fold cross-validation over the concave-level grid for prob's penalty.
 
-    Each fold's training rows are re-standardized, fitted along the grid with
-    warm starts from zero at the largest level, and scored on the held-out
+    Each fold's training rows are re-standardized, fitted along the grid by
+    fit_path starting from zero at the largest level, and scored on the held-out
     rows in the original column scale; the criterion per grid point is the
     mean held-out squared error pooled over folds. Fold rows are put into a
     canonical (content-sorted) order first, so permuting the sample order
@@ -120,12 +120,10 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         except DegenerateColumnError:
             warnings += 1
             continue
-        beta = np.zeros(prob.X.shape[1])
-        for k, lam in enumerate(grid):
-            pk = replace(prob.penalty, lam=float(lam))
-            fit = _cd_fit(Xtr_s, ytr, pk, beta, tol, max_iter, False)
-            beta = fit.beta
-            resid = yte - Xte @ (scales * beta)
+        path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty, standardized=True), grid,
+                        tol=tol, max_iter=max_iter, init=np.zeros(prob.X.shape[1]))
+        for k, fit in enumerate(path.fits):
+            resid = yte - Xte @ (scales * fit.beta)
             sq_err[k] += float(resid @ resid)
         n_scored += int(te.sum())
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1concave.penalty import KINDS, PenaltySpec, check_shape_conditions
+from l1concave.penalty import KINDS, PenaltySpec, check_shape_conditions, penalty_derivative
 from l1concave.scalar_prox import (ZERO_MARGIN, _real_cubic_roots, combined_objective,
                                    level_for_threshold, make_prox, prox_combined,
                                    prox_oracle, zero_threshold)
@@ -121,10 +121,11 @@ def log_uniform(lo, hi):
 
 
 @st.composite
-def specs_any_scale(draw):
-    """Any kind at log-uniform levels (lambda0 may be 0); sica draws its branch
-    (2 lam (a+1) <= a^2, continuous entry, or > a^2, a jump) explicitly."""
-    kind = draw(st.sampled_from(KINDS))
+def specs_any_scale(draw, kinds=KINDS):
+    """A kind from kinds at log-uniform levels (lambda0 may be 0); sica draws
+    its branch (2 lam (a+1) <= a^2, continuous entry, or > a^2, a jump)
+    explicitly."""
+    kind = draw(st.sampled_from(kinds))
     lambda0 = draw(st.just(0.0) | log_uniform(1e-6, 1e2))
     shape = None
     if kind == "sica":
@@ -145,6 +146,36 @@ def test_prox_is_exactly_zero_inside_the_zero_zone(spec, u, sign):
     # the edge of the zone, is a branch of its own
     z = sign * u * zero_threshold(spec) * (1.0 - ZERO_MARGIN)
     assert make_prox(spec)(z) == 0.0
+
+
+@st.composite
+def convex_piece_edges(draw):
+    """A scad or mcp spec and a z within 1e-6 to 1e-16 (relative) of an edge
+    of the closed form's pieces, on either side, with either sign."""
+    spec = draw(specs_any_scale(kinds=("scad", "mcp")))
+    lam, l0 = spec.lam, spec.lambda0
+    edges = [l0 + lam, l0 + spec.shape * lam]
+    if spec.kind == "scad":
+        edges.append(l0 + 2.0 * lam)
+    rel = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.integers(6, 16))
+    return spec, draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(edges)) * (1.0 + rel)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(convex_piece_edges())
+def test_convex_kinds_return_the_exact_minimizer(case):
+    # scad (a > 2) and mcp (a > 1) make 0.5 (w - b)^2 + p(b) strictly convex,
+    # so the prox must be its stationary point, checked against penalty.py's
+    # own derivative, or zero exactly when w <= lam
+    spec, z = case
+    b = make_prox(spec)(z)
+    w = abs(z) - spec.lambda0
+    eps = np.finfo(float).eps
+    if b == 0.0:
+        assert w <= spec.lam * (1.0 + 4.0 * eps) + 4.0 * eps * abs(z)
+    else:
+        residual = abs(b) - w + penalty_derivative(spec, abs(b))
+        assert abs(residual) <= 8.0 * eps * abs(z)
 
 
 def test_level_for_threshold_inverts():
