@@ -106,17 +106,35 @@ def penalty_value(p: PenaltySpec, t):
     if p.kind == "l1":
         out = lam * t
     elif p.kind == "hard":
-        out = 0.5 * (lam**2 - np.clip(lam - t, 0.0, None) ** 2)
+        out = 0.5 * (lam**2 - np.square(np.clip(lam - t, 0.0, None)))
     elif p.kind == "scad":
-        mid = (2.0 * a * lam * t - t**2 - lam**2) / (2.0 * (a - 1.0))
+        mid = (2.0 * a * lam * t - t * t - lam**2) / (2.0 * (a - 1.0))
         out = np.where(t <= lam, lam * t, np.where(t <= a * lam, mid, 0.5 * (a + 1.0) * lam**2))
     elif p.kind == "mcp":
-        out = np.where(t <= a * lam, lam * t - t**2 / (2.0 * a), 0.5 * a * lam**2)
+        out = np.where(t <= a * lam, lam * t - t * t / (2.0 * a), 0.5 * a * lam**2)
     else:  # sica
         out = lam * (a + 1.0) * t / (a + t)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def scalar_value(p: PenaltySpec):
+    """p(t) as a pure-float callable for hot loops, without the t >= 0 check;
+    equal to penalty_value(p, t) bit for bit (same arithmetic, same order)."""
+    lam, a = p.lam, p.shape
+    lam2, alam, c = lam**2, a * lam, lam * (a + 1.0)
+    if p.kind == "l1":
+        return lambda t: lam * t
+    if p.kind == "hard":
+        return lambda t: 0.5 * (lam2 - (lam - t) * (lam - t)) if t < lam else 0.5 * lam2
+    if p.kind == "scad":
+        slope, den, top = 2.0 * a * lam, 2.0 * (a - 1.0), 0.5 * (a + 1.0) * lam2
+        return lambda t: (lam * t if t <= lam
+                          else (slope * t - t * t - lam2) / den if t <= alam else top)
+    if p.kind == "mcp":
+        return lambda t: lam * t - t * t / (2.0 * a) if t <= alam else 0.5 * a * lam2
+    return lambda t: c * t / (a + t)  # sica
 
 
 def penalty_derivative(p: PenaltySpec, t):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .penalty import PenaltySpec, penalty_value
+from .penalty import PenaltySpec, penalty_value, scalar_value
 
 _CHUNK = 8192
 _FINE_N = 1025  # points in the rescan of the winning cell
@@ -141,9 +141,7 @@ def make_prox(p: PenaltySpec):
     # p''' > 0 makes q'(b) = b - w + p'(b) strictly convex on [0, inf), so the
     # largest stationary point is the only local minimizer in (0, |z|]
     coef = lam * a * (a + 1.0)
-
-    def pval(b: float) -> float:
-        return lam * (a + 1.0) * b / (a + b)
+    pval = scalar_value(p)
 
     def pderiv(b: float) -> float:
         return coef / (a + b) ** 2

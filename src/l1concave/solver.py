@@ -6,9 +6,12 @@ sqrt(n)) is
     (2n)^-1 ||y - X b||^2 + lambda0 ||b||_1 + sum_j p(|b_j|).
 
 Each coordinate update is the exact global minimizer of its univariate
-subproblem, so the objective never increases; a violation of that
-monotonicity is treated as an internal error. Sweeps run in fixed ascending
-coordinate order. A screening pass (one matvec plus the zero-entry
+subproblem, so the objective never increases; every sweep checks this on the
+maintained residual and a running penalty sum, both updated per changed
+coordinate, and a rise is an internal error, as is a running sum that drifts
+from its recomputation at the fit's end. Sweeps run in fixed ascending
+coordinate order on Python floats, over column views of a Fortran copy of
+the design that fit_path builds once for all its fits. A screening pass (one matvec plus the zero-entry
 threshold of the scalar prox) restricts work to an active set between full
 sweeps; convergence is only declared after a full sweep changes no
 coefficient by tol or more. The full sweep skips a zero coordinate only when
@@ -28,10 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .penalty import PenaltySpec, penalty_value
+from .penalty import PenaltySpec, penalty_value, scalar_value
 
 _NORM_RTOL = 1e-8  # allowed relative deviation of column norms from sqrt(n)
 _EPS = np.finfo(float).eps
+_RUNNING_RTOL = 1e-9  # allowed drift of the running penalty sum, relative to the start objective
 
 # computable-solution premises: ||b||_0 <= CERT_SPARSITY * s_hat,
 # ||n^-1 X'(y - Xb)||_inf <= CERT_RESIDUAL * lambda0 and lam >= CERT_LEVEL * lambda0;
@@ -201,26 +205,35 @@ def _penalty_sum(beta, p: PenaltySpec) -> float:
     return float(p.lambda0 * ab.sum() + np.sum(penalty_value(p, ab)))
 
 
-def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
-    """Shared coordinate-descent engine. X must be standardized."""
+def _design(X):
+    """Fortran copy, its column views and max |norm^2 / n - 1| of a standardized X."""
+    Xf = np.asfortranarray(X)
+    col_dev = float(np.max(np.abs((X**2).sum(axis=0) / X.shape[0] - 1.0)))
+    return Xf, [Xf[:, j] for j in range(X.shape[1])], col_dev
+
+
+def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
+    """Shared coordinate-descent engine on the _design of a standardized X."""
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
-    n, p = X.shape
-    Xf = np.asfortranarray(X)
+    Xf, cols, col_dev = design
+    n, p = Xf.shape
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).ravel().copy()
     if beta.size != p:
         raise ValueError("init has wrong length")
+    bl = beta.tolist()  # float mirror of beta for the sweep loop
     prox = make_prox(penalty)
+    pval, l0 = scalar_value(penalty), penalty.lambda0
     zthr = zero_threshold(penalty)
     zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
 
-    col_dev = float(np.max(np.abs((X**2).sum(axis=0) / n - 1.0)))
     # |x_j'x_k| / n <= 1 + col_dev (Cauchy-Schwarz); fp bounds the rounding of
     # the dot products and residual updates relative to the residual's scale
     fp = 4.0 * (n + p) * _EPS
     grow = (1.0 + col_dev) * (1.0 + fp)
-    r = y - Xf @ beta
-    prev_obj = float(r @ r) / (2.0 * n) + _penalty_sum(beta, penalty)
+    r, buf = y - Xf @ beta, np.empty(n)
+    pen, bb = _penalty_sum(beta, penalty), float(beta @ beta)  # running sums
+    prev_obj = start_obj = float(r @ r) / (2.0 * n) + pen
     objs = [prev_obj] if record else None
 
     def sweep(idx, room=None) -> float:
@@ -228,17 +241,21 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
         # rounding guard, when the sweep began; a zero coordinate is skipped
         # while the change summed over this sweep cannot have lifted |z_j|
         # out of the zone
-        nonlocal r
+        nonlocal r, pen, bb
         delta = drift = 0.0
         for j in idx:
-            bj = beta[j]
+            bj = bl[j]
             if room is not None and bj == 0.0 and grow * drift <= room[j]:
                 continue
-            xj = Xf[:, j]
+            xj = cols[j]
             nb = prox(float(xj @ r) / n + bj)
             if nb != bj:
-                r += xj * (bj - nb)
-                beta[j] = nb
+                np.multiply(xj, bj - nb, out=buf)
+                r += buf
+                beta[j] = bl[j] = nb
+                anb, abj = abs(nb), abs(bj)
+                pen += l0 * anb + pval(anb) - (l0 * abj + pval(abj))
+                bb += nb * nb - bj * bj
                 d = abs(nb - bj)
                 drift += d
                 if d > delta:
@@ -247,8 +264,8 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
 
     def check_objective():
         nonlocal prev_obj
-        obj = float(r @ r) / (2.0 * n) + _penalty_sum(beta, penalty)
-        slack = 1e-12 * max(1.0, abs(prev_obj)) + 4.0 * col_dev * (1.0 + float(beta @ beta))
+        obj = float(r @ r) / (2.0 * n) + pen
+        slack = 1e-12 * max(1.0, abs(prev_obj)) + 4.0 * col_dev * (1.0 + bb)
         if obj > prev_obj + slack:
             raise RuntimeError(
                 f"objective increased across a sweep ({prev_obj!r} -> {obj!r}); "
@@ -260,21 +277,23 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
 
     sweeps = 0
     converged = False
-    all_idx = range(p)
     while sweeps < max_iter:
-        z = Xf.T @ r / n + beta
-        active = np.flatnonzero((beta != 0.0) | (np.abs(z) > zthr))
-        while active.size and sweeps < max_iter:
-            sweeps += 1
-            delta = sweep(active)
-            check_objective()
-            if delta < tol:
-                break
+        az = np.abs(Xf.T @ r / n + beta)
+        active = np.flatnonzero((beta != 0.0) | (az > zthr)).tolist()
+        if active:
+            while sweeps < max_iter:
+                sweeps += 1
+                delta = sweep(active)
+                check_objective()
+                if delta < tol:
+                    break
         if sweeps >= max_iter:
             break
+        if active:  # else beta is 0 and az already equals |X'r| / n bit for bit
+            az = np.abs(Xf.T @ r) / n
         sweeps += 1
         rounding = fp * math.sqrt(float(r @ r) / n)
-        delta = sweep(all_idx, (zero_zone - rounding - np.abs(Xf.T @ r) / n).tolist())
+        delta = sweep(range(p), (zero_zone - rounding - az).tolist())
         check_objective()
         if delta < tol:
             converged = True
@@ -285,7 +304,11 @@ def _cd_fit(X, y, penalty: PenaltySpec, init, tol, max_iter, record):
     r = y - Xf @ beta
     grad = Xf.T @ r / n
     kkt_inf = float(np.max(np.abs(grad))) if p else 0.0
-    objective = float(r @ r) / (2.0 * n) + _penalty_sum(beta, penalty)
+    pen_fresh = _penalty_sum(beta, penalty)
+    if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
+        raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
+                           f"recomputation {pen_fresh!r}")
+    objective = float(r @ r) / (2.0 * n) + pen_fresh
     check = np.flatnonzero((beta != 0.0) | (np.abs(grad) > zero_zone))
     cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in check), default=0.0)
     return FitResult(
@@ -313,7 +336,7 @@ def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     spec = PenaltySpec("l1", 0.0, lambda0=float(lam))
-    return _cd_fit(prob.X, prob.y, spec, init, tol, max_iter, False)
+    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter, False)
 
 
 def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
@@ -323,7 +346,7 @@ def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
     _require_standardized(prob)
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
-    return _cd_fit(prob.X, prob.y, prob.penalty, init, tol, max_iter, record_objectives)
+    return _cd_fit(_design(prob.X), prob.y, prob.penalty, init, tol, max_iter, record_objectives)
 
 
 def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: int = 1000,
@@ -357,9 +380,10 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
         init = fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
 
     fits: list[FitResult] = []
+    design = _design(prob.X)
     beta = np.asarray(init, dtype=float)
     for lam in grid:
-        fit = _cd_fit(prob.X, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
+        fit = _cd_fit(design, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
                       max_iter, False)
         fits.append(fit)
         beta = fit.beta

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l1concave.penalty import (CHECK_DOMINATES_HARD, CHECK_THRESHOLD_DERIVATIVE,
                                KINDS, PenaltySpec, check_shape_conditions, hard_value,
-                               penalty_derivative, penalty_limit, penalty_value)
+                               penalty_derivative, penalty_limit, penalty_value,
+                               scalar_value)
 
 
 def random_spec(kind, rng, lam=None):
@@ -188,3 +191,36 @@ def test_vectorized_matches_scalar():
         ts = rng.uniform(0.0, 3.0, size=50)
         vec = penalty_value(p, ts)
         assert vec == pytest.approx([penalty_value(p, float(t)) for t in ts], abs=0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def specs_and_points(draw):
+    # t at 0, at a piece edge (lam, 2 lam, a lam) times 1 +- 10^-k, or
+    # anywhere from 1e-16 lam to 1e6 lam; t << lam makes hard's lam^2 - c^2
+    # cancel, which shows a one-ulp difference in c^2
+    kind = draw(st.sampled_from(KINDS))
+    lam = draw(st.just(0.0) | log_uniform(1e-8, 1e4))
+    shape = {"scad": st.floats(2.0 + 1e-9, 50.0), "mcp": st.floats(1.0 + 1e-9, 50.0),
+             "sica": log_uniform(1e-4, 1e2)}.get(kind)
+    p = PenaltySpec(kind, lam, shape=None if shape is None else draw(shape))
+    a = 1.0 if math.isnan(p.shape) else p.shape
+    edge = draw(st.sampled_from([lam, 2.0 * lam, a * lam]))
+    rel = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.integers(1, 16))
+    t = draw(st.just(0.0) | st.just(edge * (1.0 + rel)) | log_uniform(1e-16, 1e6).map(
+        lambda u: u * max(lam, 1e-300)))
+    return p, t
+
+
+@settings(max_examples=1000, deadline=None)
+@given(specs_and_points())
+# numpy's scalar c**2 is one ulp off c * c here, and lam^2 - c^2 cancels
+@example((PenaltySpec("hard", 798.0232418909301), 7.980232418909301e-10))
+def test_scalar_value_equals_penalty_value_bit_for_bit(case):
+    p, t = case
+    v = scalar_value(p)(t)
+    assert type(v) is float
+    assert v == penalty_value(p, t) == penalty_value(p, np.array([t]))[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from l1concave import scalar_prox, solver
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.solver import (DegenerateColumnError, RegressionProblem,
@@ -167,6 +168,51 @@ def test_objective_monotone_per_sweep():
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(objs[:-1])))
 
+
+
+def test_descent_check_catches_a_prox_that_raises_the_penalty(monkeypatch):
+    # from a converged fit every coordinate sits at its subproblem's global
+    # minimizer; a prox returning the unpenalized target z lowers the residual
+    # sum of squares but raises the penalty by more, so only the running
+    # penalty sum shows the increase
+    spec = PenaltySpec("scad", 0.3, lambda0=0.12)
+    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=2, penalty=spec)
+    start = fit_combined(prob).beta
+    monkeypatch.setattr(scalar_prox, "make_prox", lambda p: (lambda z: z))
+    with pytest.raises(RuntimeError, match="objective increased"):
+        fit_combined(prob, init=start)
+
+
+def test_last_sweep_objective_agrees_with_recomputed_objective():
+    for kind, seed in (("l1", 0), ("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
+        spec = PenaltySpec(kind, 0.3, lambda0=0.12)
+        prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed, penalty=spec)
+        fit = fit_combined(prob, record_objectives=True)
+        objs = fit.sweep_objectives
+        assert fit.converged and fit.nnz > 0
+        assert abs(objs[-1] - fit.objective) <= solver._RUNNING_RTOL * objs[0]
+
+
+def test_running_penalty_sum_is_checked_against_its_recomputation(monkeypatch):
+    # the penalty sum is recomputed once at the start and once at the end of
+    # a fit; a recomputation off by more than the bound must raise
+    spec = PenaltySpec("sica", 0.3, lambda0=0.12)
+    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=3, penalty=spec)
+    exact = solver._penalty_sum
+    for rel, raises in ((1e-6, True), (1e-12, False)):
+        calls = []
+
+        def skewed(beta, p):
+            calls.append(1)
+            return exact(beta, p) * (1.0 + rel if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(solver, "_penalty_sum", skewed)
+        if raises:
+            with pytest.raises(RuntimeError, match="running penalty sum"):
+                fit_combined(prob)
+        else:
+            fit_combined(prob)
+        assert len(calls) == 2
 
 def test_coordinatewise_global_certificate():
     spec = PenaltySpec("mcp", 0.3, lambda0=0.1)
