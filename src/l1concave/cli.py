@@ -268,7 +268,7 @@ def cmd_study(args) -> int:
         conf["seed"] = args.seed
     cfg = _config_to_simconfig(conf)
     threads = args.threads if args.threads is not None else conf.get("threads")
-    report = run_study(cfg, threads=threads if threads else 1)
+    report = run_study(cfg, threads=threads)
     report_path = args.report or conf.get("report", "report.csv")
     raw_path = args.raw or conf.get("raw", "raw.csv")
     write_report_csv(report, report_path)

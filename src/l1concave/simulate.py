@@ -251,6 +251,41 @@ def _worker(args) -> list[dict]:
     return _replicate_rows(*args)
 
 
+# thread-count setters of the OpenBLAS builds numpy ships or links against
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _openblas_function(names):
+    """The first of `names` exported by an OpenBLAS this process has loaded, or None."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({f[5].strip() for f in (line.split(maxsplit=5) for line in fh)
+                            if len(f) == 6 and "openblas" in f[5].lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    return next((getattr(lib, name) for name in names for lib in libs
+                 if hasattr(lib, name)), None)
+
+
+def _one_blas_thread():
+    """Pool initializer: run this worker's OpenBLAS on one thread.
+
+    The pool's workers already keep the cores busy, so a second BLAS thread
+    in a worker only contends with them. Does nothing where no OpenBLAS
+    setter is found (no /proc, MKL, Accelerate).
+    """
+    import ctypes
+
+    setter = _openblas_function(_OPENBLAS_SETTERS)
+    if setter is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        setter(1)
+
+
 def aggregate(rows: list[dict], methods) -> tuple[dict, dict]:
     """Means and standard errors (sample SD / sqrt(reps)) per method and metric."""
     means, ses = {}, {}
@@ -264,14 +299,20 @@ def aggregate(rows: list[dict], methods) -> tuple[dict, dict]:
     return means, ses
 
 
-def run_study(cfg: SimConfig, threads: int = 1) -> StudyReport:
-    """Run the Monte-Carlo study; identical output for any thread count."""
+def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
+    """Run the Monte-Carlo study; identical output for any thread count.
+
+    `threads` worker processes (None or < 1: all cores) share the replicates;
+    with one thread or one replicate they run in the calling process. Pool
+    workers run BLAS on one thread each; the caller's BLAS is left as it is.
+    """
     if threads is None or threads < 1:
         threads = os.cpu_count() or 1
     if threads == 1 or cfg.reps == 1:
         per_rep = [_replicate_rows(cfg, r) for r in range(cfg.reps)]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.reps)) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.reps),
+                                 initializer=_one_blas_thread) as pool:
             per_rep = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)]))
     rows = [row for rep in per_rep for row in rep]
     means, ses = aggregate(rows, cfg.methods)

@@ -32,7 +32,7 @@ def report(cid: str, ok: bool, detail: str):
 def desk_study():
     cfg = SimConfig(n=80, p=200, reps=20, seed=20240817, rho=0.5, sigma=0.25)
     t0 = time.perf_counter()
-    rep = run_study(cfg, threads=1)
+    rep = run_study(cfg, threads=None)
     return rep, time.perf_counter() - t0
 
 
@@ -40,7 +40,7 @@ def desk_study():
 def sign_study():
     cfg = SimConfig(n=160, p=200, reps=20, seed=424242, rho=0.5, sigma=0.1,
                     methods=("l1_scad", "l1_hard", "l1_sica"))
-    return run_study(cfg, threads=1)
+    return run_study(cfg, threads=None)
 
 
 def _shape(kind, rng):

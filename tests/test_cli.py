@@ -190,6 +190,30 @@ def test_study_reps1_deterministic(tmp_path):
     assert (tmp_path / "raw2.csv").read_bytes() == first
 
 
+def test_study_threads_default_to_all_cores(tmp_path, monkeypatch):
+    from l1concave import cli
+
+    seen, real = [], cli.run_study
+
+    def spy(cfg, threads=1):
+        seen.append(threads)
+        return real(cfg, threads=1)
+
+    monkeypatch.setattr(cli, "run_study", spy)
+    cfg = tmp_path / "study.cfg"
+    body = ("n = 24\np = 10\nreps = 2\nseed = 11\nsigma = 0.3\n"
+            "methods = oracle\ngrid_size = 8\ncv_folds = 3\n"
+            f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw.csv'}\n")
+    cfg.write_text(body)
+    assert main(["study", "--config", str(cfg)]) == 0
+    assert main(["study", "--config", str(cfg), "--threads", "3"]) == 0
+    cfg.write_text(body + "threads = 2\n")
+    assert main(["study", "--config", str(cfg)]) == 0
+    assert main(["study", "--config", str(cfg), "--threads", "1"]) == 0
+    # None: run_study uses all cores
+    assert seen == [None, 3, 2, 1]
+
+
 def test_study_nonconvergence_exits_2(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

@@ -1,8 +1,11 @@
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from l1concave import simulate
 from l1concave.simulate import (METRIC_NAMES, SimConfig, aggregate,
                                 combined_lambda_grid, gen_design, gen_response,
                                 run_study, study_beta0)
@@ -127,3 +130,41 @@ def test_sampled_test_mode():
     pe_sampled = run_study(cfg).means[("oracle", "pe")]
     pe_analytic = run_study(cfg2).means[("oracle", "pe")]
     assert pe_sampled == pytest.approx(pe_analytic, rel=0.15)
+
+
+def test_pool_rows_equal_serial_rows_at_desk_size():
+    # at n=80, p=200 the solver's X'r matvec (16,000 multiply-adds) is large
+    # enough for OpenBLAS to thread it; repr compares the NaN fields too
+    cfg = SimConfig(n=80, p=200, reps=2, seed=20240817, grid_size=10,
+                    methods=("lasso", "l1_scad", "oracle"))
+    assert repr(run_study(cfg, threads=2).rows) == repr(run_study(cfg, threads=1).rows)
+
+
+def _blas_threads():
+    getter = simulate._openblas_function(
+        [name.replace("_set_", "_get_") for name in simulate._OPENBLAS_SETTERS])
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_run_one_blas_thread_and_caller_is_untouched(monkeypatch):
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread-count getter in this process")
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SpyPool)
+    cfg = SimConfig(n=24, p=10, reps=2, seed=11, sigma=0.3, grid_size=8,
+                    cv_folds=3, c_grid=(0.25,), methods=("lasso", "oracle"))
+    run_study(cfg, threads=2)
+    assert _blas_threads() == before
+    assert len(pools) == 1 and pools[0]["initializer"] is simulate._one_blas_thread
+    with ProcessPoolExecutor(**pools[0]) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
