@@ -29,9 +29,9 @@ import numpy as np
 from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
-from .simulate import (SimConfig, _fmt, combined_lambda_grid, format_study_table, run_study,
-                       write_raw_csv, write_report_csv)
-from .solver import (RegressionProblem, default_lambda_grid, fit_combined,
+from .simulate import (SimConfig, _fmt, _write_csv, combined_lambda_grid, format_study_table,
+                       run_study, write_raw_csv, write_report_csv)
+from .solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_lasso,
                      objective_value, standardize, computable_certificate,
                      universal_lambda0)
 from .tuning import bic_select, cv_select
@@ -83,21 +83,11 @@ def read_vector_csv(path: str) -> np.ndarray:
     return m[:, 0]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _penalty_from_args(args, n: int, p: int) -> PenaltySpec:
     lam0 = args.lambda0
     if args.c is not None:
         lam0 = universal_lambda0(n, p, args.c)
-    try:
-        return PenaltySpec(args.penalty, args.lam, lambda0=lam0, shape=args.shape)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    return PenaltySpec(args.penalty, args.lam, lambda0=lam0, shape=args.shape)
 
 
 def _load_problem(args):
@@ -109,11 +99,8 @@ def _load_problem(args):
     if args.intercept:
         X, y, x_means, y_mean = solver.center(X, y)
         offsets = (x_means, y_mean)
-    try:
-        Xs, scales = standardize(X)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    return RegressionProblem(Xs, y, standardized=True), scales, offsets
+    Xs, scales = standardize(X)
+    return RegressionProblem(Xs, y), scales, offsets
 
 
 def cmd_fit(args) -> int:
@@ -171,18 +158,22 @@ def cmd_path(args) -> int:
     n, p = prob.shape
     spec = _penalty_from_args(args, n, p)
     prob.penalty = spec
+    cv_grid = default_lambda_grid(prob.X, prob.y)
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
     else:
         # the levels whose selection thresholds the study scans, for every kind
-        lam_max = float(default_lambda_grid(prob.X, prob.y, 1)[0])
         try:
-            grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, lam_max,
+            grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, float(cv_grid[0]),
                                         args.grid_size, args.grid_ratio)
         except ValueError as exc:  # lambda0 swamps lam_max in floating point
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
-    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter,
-                           cv_folds=args.folds, cv_seed=args.seed)
+    # the path starts from the lasso at its cross-validated level
+    start = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
+                      folds=args.folds, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
+    init = fit_lasso(prob, float(cv_grid[start.chosen_index]), tol=args.tol,
+                     max_iter=args.max_iter).beta
+    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=init)
     bic = bic_select(path, prob)
     sel = bic
     if args.cv:
@@ -256,10 +247,7 @@ def _config_to_simconfig(conf: dict) -> SimConfig:
         kwargs["beta0"] = np.array([float(v) for v in conf["beta0"].split(",")])
     if "c_grid" in conf:
         kwargs["c_grid"] = tuple(float(v) for v in conf["c_grid"].split(","))
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    return SimConfig(**kwargs)
 
 
 def cmd_study(args) -> int:
@@ -386,7 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:  # the library raises ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

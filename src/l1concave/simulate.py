@@ -98,6 +98,21 @@ class SimConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {KNOWN_METHODS}")
         if self.test_mode not in ("analytic", "sampled"):
             raise ValueError("test_mode must be 'analytic' or 'sampled'")
+        if self.test_size < 1:
+            raise ValueError("test_size must be at least 1")
+        self.c_grid = tuple(self.c_grid)
+        if not self.c_grid or not all(c >= 0.0 for c in self.c_grid):
+            raise ValueError("c_grid must be a nonempty list of nonnegative constants")
+        if self.grid_size < 1:
+            raise ValueError("grid_size must be at least 1")
+        if not 0.0 < self.grid_ratio < 1.0:
+            raise ValueError("grid_ratio must lie in (0, 1)")
+        if not 2 <= self.cv_folds <= self.n:
+            raise ValueError(f"cv_folds must lie in [2, n] = [2, {self.n}]")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -202,9 +217,9 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     event = noise_event_check(X, eps, lam0_ref)
 
     Xs, scales = standardize(X)
-    prob = RegressionProblem(Xs, y, standardized=True)
-    lam_max = float(np.max(np.abs(Xs.T @ y)) / cfg.n)
+    prob = RegressionProblem(Xs, y)
     lasso_grid = default_lambda_grid(Xs, y, cfg.grid_size, cfg.grid_ratio)
+    lam_max = float(lasso_grid[0])  # geomspace returns its start exactly
 
     init = None
     if any(m != "oracle" for m in cfg.methods):
@@ -302,12 +317,15 @@ def aggregate(rows: list[dict], methods) -> tuple[dict, dict]:
 def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
     """Run the Monte-Carlo study; identical output for any thread count.
 
-    `threads` worker processes (None or < 1: all cores) share the replicates;
-    with one thread or one replicate they run in the calling process. Pool
-    workers run BLAS on one thread each; the caller's BLAS is left as it is.
+    `threads` worker processes (None: all cores) share the replicates; with
+    one thread or one replicate they run in the calling process. Raises
+    ValueError when threads < 1. Pool workers run BLAS on one thread each;
+    the caller's BLAS is left as it is.
     """
-    if threads is None or threads < 1:
+    if threads is None:
         threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if threads == 1 or cfg.reps == 1:
         per_rep = [_replicate_rows(cfg, r) for r in range(cfg.reps)]
     else:
@@ -334,25 +352,25 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path: str, header, rows):
+    """Comma-joined header and rows of already formatted cells, one line each."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def write_raw_csv(report: StudyReport, path: str):
     """One row per replicate x method; column names are RAW_COLUMNS."""
-    lines = [",".join(RAW_COLUMNS)]
-    for row in report.rows:
-        lines.append(",".join(_fmt(row[c]) for c in RAW_COLUMNS))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, RAW_COLUMNS, ([_fmt(row[c]) for c in RAW_COLUMNS] for row in report.rows))
 
 
 def write_report_csv(report: StudyReport, path: str):
     """Aggregate CSV: method, metric, mean, se plus the noise event frequency."""
-    lines = ["method,metric,mean,se"]
-    for m in report.config.methods:
-        for metric in METRIC_NAMES:
-            lines.append(f"{m},{metric},{_fmt(report.means[(m, metric)])},"
-                         f"{_fmt(report.ses[(m, metric)])}")
-    lines.append(f"all,noise_event_frequency,{_fmt(report.noise_event_frequency)},nan")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [[m, metric, _fmt(report.means[(m, metric)]), _fmt(report.ses[(m, metric)])]
+            for m in report.config.methods for metric in METRIC_NAMES]
+    rows.append(["all", "noise_event_frequency", _fmt(report.noise_event_frequency), "nan"])
+    _write_csv(path, ("method", "metric", "mean", "se"), rows)
 
 
 def format_study_table(report: StudyReport) -> str:

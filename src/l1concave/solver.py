@@ -33,7 +33,8 @@ import numpy as np
 
 from .penalty import PenaltySpec, penalty_value, scalar_value
 
-_NORM_RTOL = 1e-8  # allowed relative deviation of column norms from sqrt(n)
+# allowed max |norm^2 / n - 1|: column norms within relative 1e-8 of sqrt(n)
+_NORM_SQ_TOL = (1.0 + 1e-8) ** 2 - 1.0
 _EPS = np.finfo(float).eps
 _RUNNING_RTOL = 1e-9  # allowed drift of the running penalty sum, relative to the start objective
 
@@ -53,15 +54,14 @@ class DegenerateColumnError(ValueError):
 class RegressionProblem:
     """Design, response, and penalty configuration for one fit.
 
-    standardized=True asserts that every column of X has L2-norm sqrt(n)
-    up to relative tolerance 1e-8; the solvers require this so that all
-    coordinates share unit curvature.
+    X may have any column scale; the fitters require every column to have
+    L2-norm sqrt(n) (the output of standardize()), so that all coordinates
+    share unit curvature, and raise ValueError naming the worst column.
     """
 
     X: np.ndarray
     y: np.ndarray
     penalty: PenaltySpec | None = None
-    standardized: bool = False
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -75,15 +75,6 @@ class RegressionProblem:
             raise ValueError(f"length of y ({len(self.y)}) does not match rows of X ({n})")
         if not np.all(np.isfinite(self.X)) or not np.all(np.isfinite(self.y)):
             raise ValueError("X and y must be finite")
-        if self.standardized:
-            norms = np.sqrt((self.X**2).sum(axis=0))
-            dev = np.abs(norms - math.sqrt(n))
-            j = int(np.argmax(dev))
-            if dev[j] > _NORM_RTOL * math.sqrt(n):
-                raise ValueError(
-                    f"column {j} has norm {norms[j]:.6g}, not sqrt(n)={math.sqrt(n):.6g}; "
-                    "run standardize() first"
-                )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -206,10 +197,16 @@ def _penalty_sum(beta, p: PenaltySpec) -> float:
 
 
 def _design(X):
-    """Fortran copy, its column views and max |norm^2 / n - 1| of a standardized X."""
+    """Fortran copy, its column views and max |norm^2 / n - 1| of X; raises
+    ValueError naming the worst column if that exceeds _NORM_SQ_TOL."""
+    sq = (X**2).sum(axis=0)
+    dev = np.abs(sq / X.shape[0] - 1.0)
+    j = int(np.argmax(dev))
+    if dev[j] > _NORM_SQ_TOL:
+        raise ValueError(f"column {j} has norm {math.sqrt(sq[j]):.6g}, not sqrt(n)="
+                         f"{math.sqrt(X.shape[0]):.6g}; run standardize() first")
     Xf = np.asfortranarray(X)
-    col_dev = float(np.max(np.abs((X**2).sum(axis=0) / X.shape[0] - 1.0)))
-    return Xf, [Xf[:, j] for j in range(X.shape[1])], col_dev
+    return Xf, [Xf[:, k] for k in range(X.shape[1])], float(dev[j])
 
 
 def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
@@ -324,15 +321,9 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
     )
 
 
-def _require_standardized(prob: RegressionProblem):
-    if not prob.standardized:
-        raise ValueError("solver requires a standardized problem (columns with norm sqrt(n))")
-
-
 def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
               max_iter: int = 1000, init=None) -> FitResult:
     """Cyclic coordinate descent with soft thresholding at level lam."""
-    _require_standardized(prob)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     spec = PenaltySpec("l1", 0.0, lambda0=float(lam))
@@ -343,24 +334,21 @@ def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
                  max_iter: int = 1000, record_objectives: bool = False) -> FitResult:
     """Cyclic coordinate descent where every update is the exact scalar global
     minimizer for the combined penalty in prob.penalty."""
-    _require_standardized(prob)
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
     return _cd_fit(_design(prob.X), prob.y, prob.penalty, init, tol, max_iter, record_objectives)
 
 
 def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: int = 1000,
-             init=None, cv_folds: int = 10, cv_seed: int = 0) -> PathResult:
+             init=None) -> PathResult:
     """Warm-started fits along a strictly decreasing concave-level grid.
 
     Every fit uses prob.penalty with its level lam replaced by the grid
     value; lambda0 and the shape come from prob.penalty. The first fit
-    starts from init, or when init is None from the lasso at the K-fold
-    cross-validated level (cross-validation runs at the same tol and
-    max_iter). Per-fit nonconvergence is recorded in the fit flags; the
-    path never aborts.
+    starts from init (zero when None), each later one from the fit before.
+    Per-fit nonconvergence is recorded in the fit flags; the path never
+    aborts.
     """
-    _require_standardized(prob)
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
     grid = np.asarray(lambda_grid, dtype=float).ravel()
@@ -371,17 +359,9 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
     if grid.size > 1 and not np.all(np.diff(grid) < 0.0):
         raise ValueError("lambda_grid must be strictly decreasing")
 
-    if init is None:
-        from .tuning import cv_select
-
-        cv_grid = default_lambda_grid(prob.X, prob.y)
-        sel = cv_select(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)), cv_grid,
-                        folds=cv_folds, seed=cv_seed, tol=tol, max_iter=max_iter)
-        init = fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
-
     fits: list[FitResult] = []
     design = _design(prob.X)
-    beta = np.asarray(init, dtype=float)
+    beta = init
     for lam in grid:
         fit = _cd_fit(design, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
                       max_iter, False)

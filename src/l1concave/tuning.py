@@ -120,8 +120,8 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         except DegenerateColumnError:
             warnings += 1
             continue
-        path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty, standardized=True), grid,
-                        tol=tol, max_iter=max_iter, init=np.zeros(prob.X.shape[1]))
+        path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid,
+                        tol=tol, max_iter=max_iter)
         for k, fit in enumerate(path.fits):
             resid = yte - Xte @ (scales * fit.beta)
             sq_err[k] += float(resid @ resid)

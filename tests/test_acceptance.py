@@ -97,7 +97,7 @@ def test_c03_hard_thresholding_feature_on_fits():
             beta0[:4] = rng.uniform(2.5, 3.5, size=4) * rng.choice([-1.0, 1.0], size=4)
             y = X @ beta0 + 0.3 * rng.standard_normal(n)
             Xs, _ = standardize(X)
-            fit = fit_combined(RegressionProblem(Xs, y, spec, standardized=True))
+            fit = fit_combined(RegressionProblem(Xs, y, spec))
             nz = fit.beta[fit.beta != 0.0]
             nonzeros += nz.size
             violations += int(np.sum(np.abs(nz) <= floor))
@@ -117,7 +117,7 @@ def test_c04_orthogonal_design_solver_oracle():
     z = X.T @ y / n
 
     spec_h = PenaltySpec("hard", 0.35, lambda0=0.15)
-    fit_h = fit_combined(RegressionProblem(X, y, spec_h, standardized=True))
+    fit_h = fit_combined(RegressionProblem(X, y, spec_h))
     closed = np.where(np.abs(z) > spec_h.lam + spec_h.lambda0,
                       np.sign(z) * (np.abs(z) - spec_h.lambda0), 0.0)
     dev_h = float(np.max(np.abs(fit_h.beta - closed)))
@@ -125,7 +125,7 @@ def test_c04_orthogonal_design_solver_oracle():
     devs = {"hard": dev_h}
     for kind in ("scad", "sica"):
         spec = PenaltySpec(kind, 0.3, lambda0=0.1)
-        fit = fit_combined(RegressionProblem(X, y, spec, standardized=True))
+        fit = fit_combined(RegressionProblem(X, y, spec))
         oracle = np.array([prox_oracle(float(zj), spec) for zj in z])
         devs[kind] = float(np.max(np.abs(fit.beta - oracle)))
     ok = devs["hard"] <= 1e-8 and devs["scad"] <= 1e-5 and devs["sica"] <= 1e-5
@@ -148,7 +148,7 @@ def test_c05_objective_monotonicity():
             y = X @ beta0 + 0.4 * rng.standard_normal(n)
             Xs, _ = standardize(X)
             spec = PenaltySpec(kind, rng.uniform(0.1, 0.4), lambda0=rng.uniform(0.02, 0.2))
-            fit = fit_combined(RegressionProblem(Xs, y, spec, standardized=True),
+            fit = fit_combined(RegressionProblem(Xs, y, spec),
                                record_objectives=True)
             objs = fit.sweep_objectives
             sweeps += len(objs) - 1
@@ -173,7 +173,7 @@ def test_c06_lambda_zero_reduces_to_lasso():
         Xs, _ = standardize(X)
         lam0 = rng.uniform(0.05, 0.3)
         spec = PenaltySpec(kinds[i % len(kinds)], 0.0, lambda0=lam0)
-        prob = RegressionProblem(Xs, y, spec, standardized=True)
+        prob = RegressionProblem(Xs, y, spec)
         combined = fit_combined(prob, tol=1e-9, max_iter=5000)
         lasso = fit_lasso(prob, lam0, tol=1e-9, max_iter=5000)
         worst = max(worst, float(np.max(np.abs(combined.beta - lasso.beta))))
@@ -197,7 +197,7 @@ def test_c07_refit_equals_oracle_when_support_recovered():
         Xs, scales = standardize(X)
         lam0 = universal_lambda0(n, p, 0.25)
         spec = PenaltySpec("hard", 0.2, lambda0=lam0)
-        prob = RegressionProblem(Xs, y, spec, standardized=True)
+        prob = RegressionProblem(Xs, y, spec)
         grid = default_lambda_grid(Xs, y, 25, 0.05)
         path = fit_path(prob, grid, init=fit_lasso(prob, 2 * lam0).beta)
         fit = path.fits[bic_select(path, prob).chosen_index]

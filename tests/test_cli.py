@@ -7,7 +7,8 @@ from l1concave.cli import main
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.simulate import combined_lambda_grid
-from l1concave.solver import RegressionProblem, fit_path, standardize
+from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path,
+                              standardize)
 from l1concave.tuning import bic_select, cv_select
 
 
@@ -27,6 +28,14 @@ def make_data(tmp_path, n=30, p=8, seed=3, sigma=0.2):
     write_csv(dpath, X, ",".join(f"x{j}" for j in range(p)))
     write_csv(rpath, y[:, None], "y")
     return dpath, rpath, X, y
+
+
+def cv_lasso_start(Xs, y, folds, seed):
+    """The start `path` fits from: the lasso at its cross-validated level."""
+    grid = default_lambda_grid(Xs, y)
+    sel = cv_select(RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0)), grid,
+                    folds=folds, seed=seed)
+    return fit_lasso(RegressionProblem(Xs, y), float(grid[sel.chosen_index])).beta
 
 
 def read_rows(path):
@@ -113,11 +122,10 @@ def test_path_single_and_marker(tmp_path):
     selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
     # cross-check the marker against the library selection on the study's grid
     Xs, _ = standardize(X)
-    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05),
-                             standardized=True)
+    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05))
     lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
     grid = combined_lambda_grid("hard", None, 0.05, lam_max, 8, 0.05)
-    path = fit_path(prob, grid, cv_folds=10, cv_seed=0)
+    path = fit_path(prob, grid, init=cv_lasso_start(Xs, y, folds=10, seed=0))
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
 
@@ -131,10 +139,31 @@ def test_path_cv_marks_cv_choice(tmp_path, capsys):
     header, rows = read_rows(out)
     selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
     Xs, _ = standardize(X)
-    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05),
-                             standardized=True)
+    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05))
     grid = [float(r[header.index("lambda")]) for r in rows]
     assert selected == [cv_select(prob, grid, folds=3, seed=0).chosen_index]
+    path = fit_path(prob, grid, init=cv_lasso_start(Xs, y, folds=3, seed=0))
+    assert [float(r[header.index("kkt_inf")]) for r in rows] == [f.kkt_inf for f in path.fits]
+    assert [int(r[header.index("nnz")]) for r in rows] == [f.nnz for f in path.fits]
+
+
+def test_path_cv_start_uses_tol_and_max_iter(tmp_path, monkeypatch):
+    # the cross-validated lasso start runs at the path's own tol and max_iter
+    from l1concave import cli
+
+    seen, real = [], cli.cv_select
+
+    def spy(*args, **kwargs):
+        seen.append({k: kwargs.get(k) for k in ("folds", "seed", "tol", "max_iter")})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cv_select", spy)
+    dpath, rpath, _, _ = make_data(tmp_path)
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
+               "--grid-size", "4", "--folds", "3", "--seed", "4", "--tol", "1e-4",
+               "--max-iter", "37", "--out", str(tmp_path / "path.csv")])
+    assert rc in (0, 2)
+    assert seen == [{"folds": 3, "seed": 4, "tol": 1e-4, "max_iter": 37}]
 
 
 def test_path_sica_scans_study_thresholds(tmp_path):
@@ -174,6 +203,39 @@ def test_study_config_errors(tmp_path, capsys):
     cfg.write_text("n = 20\np = 10\nreps = 1\n")
     assert main(["study", "--config", str(cfg)]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+STUDY_BODY = "n = 24\np = 10\nreps = 2\nseed = 11\nmethods = lasso, oracle\ngrid_size = 8\n"
+
+
+@pytest.mark.parametrize("setting, flags", [
+    ("c_grid = -1", []), ("c_grid = 0.5, x", []), ("cv_folds = 1", []), ("cv_folds = 25", []),
+    ("grid_size = 0", []), ("grid_ratio = 1", []), ("tol = -1", []), ("max_iter = 0", []),
+    ("test_size = 0", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
+])
+def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, flags):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(STUDY_BODY + setting + "\n")
+    report, raw = tmp_path / "rep.csv", tmp_path / "raw.csv"
+    rc = main(["study", "--config", str(cfg), "--report", str(report), "--raw", str(raw), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not report.exists() and not raw.exists()
+
+
+def test_audit_s_equal_to_p_exits_1(tmp_path, capsys):
+    dpath, _, _, _ = make_data(tmp_path, p=4)
+    rc = main(["audit", str(dpath), "--s", "4", "--out", str(tmp_path / "audit.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: s must satisfy")
+
+
+def test_negative_c_exits_1(tmp_path, capsys):
+    dpath, rpath, _, _ = make_data(tmp_path)
+    rc = main(["fit", str(dpath), str(rpath), "--c", "-1", "--out", str(tmp_path / "fit.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: c must be nonnegative\n"
 
 
 def test_study_reps1_deterministic(tmp_path):

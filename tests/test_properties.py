@@ -41,7 +41,7 @@ def problems(draw, wide=False):
     X, _ = standardize(rng.standard_normal((n, p)))
     beta0 = rng.standard_normal(p) * (rng.random(p) < (5.0 / p if wide else 0.5))
     y = X @ beta0 + 0.5 * rng.standard_normal(n)
-    return RegressionProblem(X, y, penalty=spec, standardized=True)
+    return RegressionProblem(X, y, penalty=spec)
 
 
 def assert_same_fit(a, b, sign=1.0):
@@ -154,7 +154,7 @@ def test_screened_sica_path_equals_unscreened_engine(monkeypatch):
     y = X @ study_beta0(p) + 0.25 * np.random.default_rng(7).standard_normal(n)
     lam0 = universal_lambda0(n, p, 0.25)
     spec = PenaltySpec("sica", 0.0, lambda0=lam0, shape=0.1)
-    prob = RegressionProblem(X, y, penalty=spec, standardized=True)
+    prob = RegressionProblem(X, y, penalty=spec)
     lam_max = float(np.max(np.abs(X.T @ y)) / n)
     grid = combined_lambda_grid("sica", 0.1, lam0, lam_max, num=15)
 
@@ -190,7 +190,7 @@ def test_screen_accounts_for_changes_earlier_in_the_sweep(kind):
     X = np.column_stack([(h2 - h1) / math.sqrt(2), (h3 - h2) / math.sqrt(2), h1])
     y = 2.0 * h1 + 2.5 * h2 + (2.5 + 0.3 * math.sqrt(2)) * h3
     spec = PenaltySpec(kind, 0.3, lambda0=0.2) if kind != "l1" else PenaltySpec("l1", 0.0, 0.5)
-    prob = RegressionProblem(X, y, penalty=spec, standardized=True)
+    prob = RegressionProblem(X, y, penalty=spec)
     fit = fit_combined(prob) if kind != "l1" else fit_lasso(prob, 0.5)
     assert_same_as_unscreened(fit, prob, spec, None)
 
@@ -209,6 +209,23 @@ def test_screen_guards_against_rounding_at_a_tiny_threshold():
         lam = 0.5 * (abs(float(X[:, 0] @ y)) + abs(float((X.T @ y)[0]))) / n
         init = np.linalg.lstsq(X, y, rcond=None)[0]
         init[0] = 0.0
-        prob = RegressionProblem(X, y, standardized=True)
+        prob = RegressionProblem(X, y)
         fit = fit_lasso(prob, lam, init=init)
         assert_same_as_unscreened(fit, prob, PenaltySpec("l1", 0.0, lam), init)
+
+
+@SMALL
+@given(problems(), st.data())
+def test_fits_accept_standardized_designs_and_name_an_off_norm_column(prob, data):
+    # a column off norm sqrt(n) by relative 1e-6 is named; one off by 1e-9
+    # is within the fitters' tolerance, as is every standardize() output
+    fits = (lambda q: fit_lasso(q, 0.1), fit_combined, lambda q: fit_path(q, [1.0, 0.5]))
+    j = data.draw(st.integers(0, prob.X.shape[1] - 1))
+    near, off = prob.X.copy(), prob.X.copy()
+    near[:, j] *= 1.0 + 1e-9
+    off[:, j] *= 1.0 + 1e-6
+    for fit in fits:
+        fit(prob)
+        fit(replace(prob, X=near))
+        with pytest.raises(ValueError, match=f"column {j} has norm"):
+            fit(replace(prob, X=off))

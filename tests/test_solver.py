@@ -19,7 +19,7 @@ def orthogonal_problem(n, seed=0, penalty=None):
     X = hadamard(n).astype(float)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n) * 1.5
-    return RegressionProblem(X, y, penalty=penalty, standardized=True), X, y
+    return RegressionProblem(X, y, penalty=penalty), X, y
 
 
 def random_problem(n, p, s, sigma, seed, penalty=None, rho=0.4):
@@ -31,7 +31,7 @@ def random_problem(n, p, s, sigma, seed, penalty=None, rho=0.4):
     beta0[:s] = rng.uniform(0.8, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s)
     y = X @ beta0 + sigma * rng.standard_normal(n)
     Xs, scales = standardize(X)
-    return RegressionProblem(Xs, y, penalty=penalty, standardized=True), beta0, scales
+    return RegressionProblem(Xs, y, penalty=penalty), beta0, scales
 
 
 def test_standardize_examples():
@@ -80,11 +80,16 @@ def test_problem_validation():
         RegressionProblem(np.ones((3, 2)), np.ones(4))
     with pytest.raises(ValueError):
         RegressionProblem(np.array([[1.0, math.nan]]), np.ones(1))
+    # an unstandardized design is a valid problem (BIC and refit_ls use one);
+    # the fitters reject it and name the column whose norm is not sqrt(n)
+    prob = RegressionProblem(2 * np.ones((4, 1)), np.ones(4),
+                             PenaltySpec("hard", 0.3, lambda0=0.1))
     with pytest.raises(ValueError, match="column 0"):
-        RegressionProblem(2 * np.ones((4, 1)), np.ones(4), standardized=True)
-    prob = RegressionProblem(np.ones((4, 1)), np.ones(4))  # not standardized
-    with pytest.raises(ValueError, match="standardized"):
         fit_lasso(prob, 0.1)
+    with pytest.raises(ValueError, match="column 0"):
+        fit_combined(prob)
+    with pytest.raises(ValueError, match="column 0"):
+        fit_path(prob, [0.3, 0.2])
 
 
 def test_lasso_orthogonal_soft_threshold():
@@ -109,7 +114,7 @@ def test_lasso_zero_lambda_is_ols():
     X = rng.standard_normal((50, 8))
     y = rng.standard_normal(50)
     Xs, scales = standardize(X)
-    prob = RegressionProblem(Xs, y, standardized=True)
+    prob = RegressionProblem(Xs, y)
     fit = fit_lasso(prob, 0.0, tol=1e-10, max_iter=5000)
     ols = np.linalg.lstsq(Xs, y, rcond=None)[0]
     assert fit.beta == pytest.approx(ols, abs=1e-6)
@@ -120,7 +125,7 @@ def test_combined_single_coordinate_reduces_to_prox():
     X = np.full((n, 1), 1.0) * math.sqrt(n) / math.sqrt(n)  # unit entries, norm sqrt(n)
     y = np.linspace(-1, 2, n)
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
-    prob = RegressionProblem(X, y, penalty=spec, standardized=True)
+    prob = RegressionProblem(X, y, penalty=spec)
     fit = fit_combined(prob)
     z = float(X[:, 0] @ y) / n
     assert fit.beta[0] == prox_combined(z, spec)
@@ -242,7 +247,7 @@ def test_scale_roundtrip():
     beta0[:3] = [1.5, -2.0, 1.0]
     y = X @ beta0
     Xs, scales = standardize(X)
-    prob = RegressionProblem(Xs, y, standardized=True)
+    prob = RegressionProblem(Xs, y)
     fit = fit_lasso(prob, 1e-8, tol=1e-11, max_iter=5000)
     assert scales * fit.beta == pytest.approx(beta0, abs=1e-6)
 
@@ -275,30 +280,17 @@ def test_fit_path_warm_start_runs_and_cv_init():
     spec = PenaltySpec("scad", 0.3, lambda0=0.08)
     prob, beta0, scales = random_problem(60, 30, 4, 0.25, seed=15, penalty=spec)
     grid = default_lambda_grid(prob.X, prob.y, num=12, ratio=0.05)
-    path = fit_path(prob, grid, cv_folds=5, cv_seed=1)
+    path = fit_path(prob, grid)
     assert len(path.fits) == 12
     assert all(f.converged for f in path.fits)
     assert all(f.penalty == replace(spec, lam=lam) for f, lam in zip(path.fits, grid))
     nnz = [f.nnz for f in path.fits]
     assert nnz[-1] >= nnz[0]
-
-
-def test_fit_path_cv_start_uses_path_tol_and_max_iter(monkeypatch):
-    # the cross-validated lasso start runs at the path's own tol and max_iter
-    from l1concave import tuning
-
-    seen = []
-    real = tuning.cv_select
-
-    def spy(*args, **kwargs):
-        seen.append((kwargs.get("tol"), kwargs.get("max_iter")))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(tuning, "cv_select", spy)
-    spec = PenaltySpec("scad", 0.3, lambda0=0.08)
-    prob, _, _ = random_problem(40, 20, 3, 0.25, seed=18, penalty=spec)
-    fit_path(prob, [0.3, 0.2], tol=1e-4, max_iter=37, cv_folds=3)
-    assert seen == [(1e-4, 37)]
+    # init=None is the zero start, bit for bit
+    zero = fit_path(prob, grid, init=np.zeros(prob.X.shape[1]))
+    for a, b in zip(path.fits, zero.fits):
+        assert np.array_equal(a.beta, b.beta) and a.iterations == b.iterations
+        assert a.objective == b.objective and a.kkt_inf == b.kkt_inf
 
 
 def test_computable_certificate_checks():

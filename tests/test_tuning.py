@@ -23,7 +23,7 @@ def lasso_problem(n, p, seed, sigma=0.3):
     beta0[: min(3, p)] = [1.5, -1.0, 0.8][: min(3, p)]
     y = X @ beta0 + sigma * rng.standard_normal(n)
     Xs, _ = standardize(X)
-    return RegressionProblem(Xs, y, penalty=PenaltySpec("l1", 0.0, 0.0), standardized=True)
+    return RegressionProblem(Xs, y, penalty=PenaltySpec("l1", 0.0, 0.0))
 
 
 def test_bic_matches_independent_recompute():
@@ -85,7 +85,7 @@ def test_cv_loo_matches_bruteforce_table():
     for i in range(10):
         te = assignment == i
         Xtr, scales = standardize(prob.X[~te])
-        sub = RegressionProblem(Xtr, prob.y[~te], standardized=True)
+        sub = RegressionProblem(Xtr, prob.y[~te])
         for k, lam in enumerate(grid):
             fit = fit_lasso(sub, float(lam), tol=1e-9, max_iter=5000)
             pred = prob.X[te] @ (scales * fit.beta)
@@ -119,7 +119,7 @@ def test_cv_permutation_stable_bitwise():
     rng = np.random.default_rng(8)
     perm = rng.permutation(30)
     permuted = RegressionProblem(prob.X[perm], prob.y[perm],
-                                 penalty=prob.penalty, standardized=True)
+                                 penalty=prob.penalty)
     other = cv_select(permuted, grid, folds=5, assignment=assignment[perm])
     assert np.array_equal(base.criterion_values, other.criterion_values)
     assert base.chosen_index == other.chosen_index
