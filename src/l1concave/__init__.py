@@ -15,8 +15,8 @@ from .penalty import (KINDS, PenaltySpec, ShapeCheckReport, check_shape_conditio
                       penalty_derivative, penalty_limit, penalty_value)
 from .scalar_prox import (combined_objective, level_for_threshold, prox_combined,
                           prox_oracle, zero_threshold)
-from .simulate import (SimConfig, StudyReport, combined_lambda_grid, gen_design,
-                       gen_response, run_study, study_beta0, write_raw_csv,
+from .simulate import (SimConfig, StudyReport, combined_lambda_grid, cv_lasso_start,
+                       gen_design, gen_response, run_study, study_beta0, write_raw_csv,
                        write_report_csv)
 from .solver import (CertificateReport, DegenerateColumnError, FitResult,
                      PathResult, RegressionProblem, center, default_lambda_grid,

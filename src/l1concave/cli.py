@@ -29,9 +29,9 @@ import numpy as np
 from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
-from .simulate import (SimConfig, _fmt, _write_csv, combined_lambda_grid, format_study_table,
-                       run_study, write_raw_csv, write_report_csv)
-from .solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_lasso,
+from .simulate import (SimConfig, _fmt, _write_csv, combined_lambda_grid, cv_lasso_start,
+                       format_study_table, run_study, write_raw_csv, write_report_csv)
+from .solver import (RegressionProblem, default_lambda_grid, fit_combined, level_grid,
                      objective_value, standardize, computable_certificate,
                      universal_lambda0)
 from .tuning import bic_select, cv_select
@@ -40,6 +40,11 @@ from . import solver
 
 class CLIError(Exception):
     """Input or configuration error; exits with status 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input, exit 1; 2 means nonconvergence
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -83,11 +88,11 @@ def read_vector_csv(path: str) -> np.ndarray:
     return m[:, 0]
 
 
-def _penalty_from_args(args, n: int, p: int) -> PenaltySpec:
+def _penalty_from_args(args, n: int, p: int, lam: float) -> PenaltySpec:
     lam0 = args.lambda0
     if args.c is not None:
         lam0 = universal_lambda0(n, p, args.c)
-    return PenaltySpec(args.penalty, args.lam, lambda0=lam0, shape=args.shape)
+    return PenaltySpec(args.penalty, lam, lambda0=lam0, shape=args.shape)
 
 
 def _load_problem(args):
@@ -106,10 +111,10 @@ def _load_problem(args):
 def cmd_fit(args) -> int:
     prob, scales, offsets = _load_problem(args)
     n, p = prob.shape
-    spec = _penalty_from_args(args, n, p)
+    spec = _penalty_from_args(args, n, p, args.lam)
     prob.penalty = spec
     fit = fit_combined(prob, tol=args.tol, max_iter=args.max_iter)
-    cert = computable_certificate(fit, s_hat=max(fit.nnz, 1))
+    cert = computable_certificate(fit, s_hat=fit.nnz)  # true s unknown: sparsity not reported
     beta_orig = scales * fit.beta
     _write_csv(args.out, ["index", "beta", "beta_std"],
                [[str(j), _fmt(beta_orig[j]), _fmt(fit.beta[j])] for j in range(p)])
@@ -122,8 +127,7 @@ def cmd_fit(args) -> int:
     print(f"support {fit.nnz} of {p}: {' '.join(map(str, fit.support.tolist()))}")
     print(f"converged {int(fit.converged)} iterations {fit.iterations} "
           f"coordinatewise_global {int(fit.coordinatewise_global)}")
-    print(f"certificate sparsity={int(cert.sparsity_ok)} residual={int(cert.residual_ok)} "
-          f"lambda={int(cert.lambda_ok)}")
+    print(f"certificate residual={int(cert.residual_ok)} lambda={int(cert.lambda_ok)}")
     print(f"wrote {args.out}")
     return 0 if fit.converged else 2
 
@@ -131,7 +135,7 @@ def cmd_fit(args) -> int:
 def cmd_score(args) -> int:
     prob, scales, _ = _load_problem(args)
     n, p = prob.shape
-    spec = _penalty_from_args(args, n, p)
+    spec = _penalty_from_args(args, n, p, args.lam)
     fit_rows = read_matrix_csv(args.fit)
     if fit_rows.shape[0] != p or fit_rows.shape[1] < 3:
         raise CLIError(f"{args.fit}: expected {p} rows with columns index,beta,beta_std")
@@ -143,20 +147,15 @@ def cmd_score(args) -> int:
 
 def _parse_lambdas(text: str) -> np.ndarray:
     try:
-        grid = np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        return level_grid([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as exc:
-        raise CLIError(f"bad --lambdas value: {exc}") from None
-    if grid.size == 0:
-        raise CLIError("--lambdas is empty")
-    if np.any(grid <= 0.0) or (grid.size > 1 and not np.all(np.diff(grid) < 0.0)):
-        raise CLIError("--lambdas must be positive and strictly decreasing")
-    return grid
+        raise CLIError(f"bad --lambdas: {exc}") from None
 
 
 def cmd_path(args) -> int:
     prob, scales, _ = _load_problem(args)
     n, p = prob.shape
-    spec = _penalty_from_args(args, n, p)
+    spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
     prob.penalty = spec
     cv_grid = default_lambda_grid(prob.X, prob.y)
     if args.lambdas is not None:
@@ -166,13 +165,9 @@ def cmd_path(args) -> int:
         try:
             grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, float(cv_grid[0]),
                                         args.grid_size, args.grid_ratio)
-        except ValueError as exc:  # lambda0 swamps lam_max in floating point
+        except ValueError as exc:  # a bad --grid-size or --grid-ratio, or lambda0 swamps lam_max
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
-    # the path starts from the lasso at its cross-validated level
-    start = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
-                      folds=args.folds, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
-    init = fit_lasso(prob, float(cv_grid[start.chosen_index]), tol=args.tol,
-                     max_iter=args.max_iter).beta
+    init = cv_lasso_start(prob, cv_grid, args.folds, args.seed, args.tol, args.max_iter)
     path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=init)
     bic = bic_select(path, prob)
     sel = bic
@@ -296,7 +291,7 @@ def cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="l1concave",
         description="Sparse regression with combined L1 and concave penalties.",
         epilog="Exit codes: 0 success, 1 input/config error, 2 nonconvergence.",
@@ -308,17 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
         if response:
             sp.add_argument("response", help="response CSV, single column")
 
-    def add_penalty(sp):
+    def add_penalty(sp, level=True, solve=True):
         sp.add_argument("--penalty", choices=KINDS, default="hard")
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                        help="concave-component level")
+        if level:
+            sp.add_argument("--lambda", dest="lam", type=float, default=0.1,
+                            help="concave-component level")
         sp.add_argument("--lambda0", type=float, default=0.0, help="L1-component level")
         sp.add_argument("--c", type=float, default=None,
                         help="set lambda0 = c sqrt(log(max(n,p))/n) instead of --lambda0")
         sp.add_argument("--shape", type=float, default=None,
                         help="shape parameter a (scad/mcp/sica)")
-        sp.add_argument("--tol", type=float, default=1e-7)
-        sp.add_argument("--max-iter", type=int, default=1000)
+        if solve:
+            sp.add_argument("--tol", type=float, default=1e-7)
+            sp.add_argument("--max-iter", type=int, default=1000)
         sp.add_argument("--intercept", action="store_true",
                         help="center y and the columns of X before standardizing")
 
@@ -330,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("score", help="recompute the objective of a written fit")
     add_common(sp)
-    add_penalty(sp)
+    add_penalty(sp, solve=False)
     sp.add_argument("--fit", required=True, help="fit CSV written by the fit command")
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("path", help="trace a decreasing level grid")
     add_common(sp)
-    add_penalty(sp)
+    add_penalty(sp, level=False)
     sp.add_argument("--grid-size", type=int, default=50)
     sp.add_argument("--grid-ratio", type=float, default=0.05,
                     help="grid floor as a fraction of lambda_max")

@@ -29,6 +29,7 @@ CHECK_CONCAVE = "concave"
 CHECK_DOMINATES_HARD = "dominates_hard"
 CHECK_THRESHOLD_DERIVATIVE = "threshold_derivative"
 CHECK_CURVATURE_DECREASING = "curvature_decreasing"
+_SHAPE_GRID_N = 1000  # points per grid in check_shape_conditions
 
 
 @dataclass(frozen=True)
@@ -206,25 +207,23 @@ def hard_value(lam: float, t):
     return penalty_value(PenaltySpec("hard", lam), t)
 
 
-def check_shape_conditions(p: PenaltySpec, c1: float, grid_n: int = 1000) -> ShapeCheckReport:
+def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
     """Numerically verify the shape conditions for the hard-thresholding feature.
 
-    On uniform grids, checks that the concave component is (a) nondecreasing,
-    (b) concave, (c) dominates the hard-thresholding penalty on [0, lam],
-    (d) has derivative at (1 - c1) * lam at most c1 * lam, and (e) has
-    -p'' nonincreasing on [0, (1 - c1) * lam]. Grid verification only; the
+    On uniform 1000-point grids, checks that the concave component is (a)
+    nondecreasing, (b) concave, (c) dominates the hard-thresholding penalty
+    on [0, lam], (d) has derivative at (1 - c1) * lam at most c1 * lam, and
+    (e) has -p'' nonincreasing on [0, (1 - c1) * lam]. Grid verification only; the
     conditions are one-dimensional inequalities so grid + tolerance is
     adequate for any kind.
     """
     if not 0.0 <= c1 < 1.0:
         raise ValueError("c1 must lie in [0, 1)")
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
     lam = p.lam
     failed: list[tuple[str, float]] = []
 
     hi = lam * max(3.0, (p.shape + 1.0) if p.kind in ("scad", "mcp") else 3.0)
-    ts = np.linspace(0.0, hi, grid_n)
+    ts = np.linspace(0.0, hi, _SHAPE_GRID_N)
     vals = penalty_value(p, ts)
     scale = max(1.0, float(np.max(np.abs(vals))) if ts.size else 1.0)
 
@@ -238,7 +237,7 @@ def check_shape_conditions(p: PenaltySpec, c1: float, grid_n: int = 1000) -> Sha
     if bad.size:
         failed.append((CHECK_CONCAVE, float(ts[bad[0] + 1])))
 
-    tc = np.linspace(0.0, lam, grid_n)
+    tc = np.linspace(0.0, lam, _SHAPE_GRID_N)
     gap = penalty_value(p, tc) - hard_value(lam, tc)
     bad = np.flatnonzero(gap < -1e-12)
     if bad.size:
@@ -249,7 +248,7 @@ def check_shape_conditions(p: PenaltySpec, c1: float, grid_n: int = 1000) -> Sha
     if deriv > c1 * lam + 1e-12:
         failed.append((CHECK_THRESHOLD_DERIVATIVE, td))
 
-    te = np.linspace(0.0, td, grid_n)
+    te = np.linspace(0.0, td, _SHAPE_GRID_N)
     neg_curv = -_second_derivative(p, te)
     bad = np.flatnonzero(np.diff(neg_curv) > 1e-12)
     if bad.size:

@@ -23,16 +23,14 @@ import numpy as np
 from .penalty import PenaltySpec, penalty_value, scalar_value
 
 _CHUNK = 8192
+_ORACLE_N = 100_000  # oracle grid points: the grid alone pins the minimizer to ~1e-5
 _FINE_N = 1025  # points in the rescan of the winning cell
-_UNIT_GRIDS: dict[int, np.ndarray] = {}
 
 
-def _unit_grid(grid_n: int) -> np.ndarray:
-    grid = _UNIT_GRIDS.get(grid_n)
-    if grid is None:
-        grid = np.linspace(-1.0, 1.0, grid_n)
-        grid.setflags(write=False)
-        _UNIT_GRIDS[grid_n] = grid
+@lru_cache(maxsize=1)
+def _unit_grid() -> np.ndarray:
+    grid = np.linspace(-1.0, 1.0, _ORACLE_N)
+    grid.setflags(write=False)
     return grid
 
 
@@ -248,32 +246,29 @@ def level_for_threshold(p: PenaltySpec, tau: float) -> float:
     return (d + 0.5 * a) ** 2 / (2.0 * (a + 1.0))
 
 
-def prox_oracle(z: float, p: PenaltySpec, grid_n: int = 100_000) -> float:
+def prox_oracle(z: float, p: PenaltySpec) -> float:
     """Brute-force global minimizer by exhaustive grid search plus local refinement.
 
-    Searches [-|z| - lam, |z| + lam] on a grid_n-point grid, then rescans the
+    Searches [-|z| - lam, |z| + lam] on a 1e5-point grid, then rescans the
     winning cell on a finer grid; zero is an explicit candidate that wins
-    exact ties. Test oracle only; grid_n must be at least 1e5 so the grid
-    alone pins the minimizer to ~1e-5.
+    exact ties. Test oracle only.
     """
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
-    if grid_n < 100_000:
-        raise ValueError("grid_n must be at least 1e5")
     half = abs(z) + p.lam
     if half == 0.0:
         return 0.0
-    u = _unit_grid(grid_n)
+    u = _unit_grid()
     # scan in cache-sized chunks; temporaries stay resident so the sweep is
     # compute-bound instead of memory-bound
     best_val, i = math.inf, 0
-    for s in range(0, grid_n, _CHUNK):
+    for s in range(0, _ORACLE_N, _CHUNK):
         v = combined_objective(u[s:s + _CHUNK] * half, z, p)
         j = int(np.argmin(v))
         if v[j] < best_val:
             best_val, i = float(v[j]), s + j
-    step = 2.0 * half / (grid_n - 1)
+    step = 2.0 * half / (_ORACLE_N - 1)
     gi = -half + step * i
     fine = np.linspace(max(gi - step, -half), min(gi + step, half), _FINE_N)
     v = combined_objective(fine, z, p)

@@ -160,11 +160,22 @@ def combined_lambda_grid(kind: str, shape: float | None, lambda0: float, lam_max
     For hard/scad/mcp this is exactly the geometric level grid; for sica the
     levels are mapped through the entry-threshold inverse so all kinds scan
     the same selection-threshold range."""
+    if num < 1 or not 0.0 < ratio < 1.0:
+        raise ValueError(f"need num >= 1 and 0 < ratio < 1, got num={num} and ratio={ratio}")
     spec = PenaltySpec(kind, 0.0, lambda0=lambda0, shape=shape)
     taus = lambda0 + np.geomspace(lam_max, ratio * lam_max, num)
     lams = np.array([level_for_threshold(spec, t) for t in taus])
     keep = np.concatenate([[True], np.diff(lams) < 0.0])
     return lams[keep]
+
+
+def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: float = 1e-7,
+                   max_iter: int = 1000) -> np.ndarray:
+    """The lasso fitted at the level of cv_grid that cv_select picks: the start of
+    every concave path in the study and in `l1concave path`. Ignores prob.penalty."""
+    sel = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
+                    folds=folds, seed=seed, tol=tol, max_iter=max_iter)
+    return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
 
 
 def _pe(beta_hat, cfg: SimConfig, Sigma0, seed) -> float:
@@ -224,11 +235,8 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     init = None
     if any(m != "oracle" for m in cfg.methods):
         cv_grid = default_lambda_grid(Xs, y, max(10, cfg.grid_size * 3 // 5), cfg.grid_ratio)
-        sel = cv_select(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)), cv_grid,
-                        folds=cfg.cv_folds, seed=np.random.SeedSequence((cfg.seed, r, 2)),
-                        tol=cfg.tol, max_iter=cfg.max_iter)
-        init = fit_lasso(prob, float(cv_grid[sel.chosen_index]),
-                         tol=cfg.tol, max_iter=cfg.max_iter).beta
+        init = cv_lasso_start(prob, cv_grid, cfg.cv_folds,
+                              np.random.SeedSequence((cfg.seed, r, 2)), cfg.tol, cfg.max_iter)
 
     rows = []
     for method in cfg.methods:

@@ -174,12 +174,22 @@ def universal_lambda0(n: int, p: int, c: float) -> float:
 
 def default_lambda_grid(X, y, num: int = 50, ratio: float = 0.01) -> np.ndarray:
     """Geometric grid from lambda_max = ||n^-1 X'y||_inf down to ratio * lambda_max."""
+    if num < 1 or not 0.0 < ratio < 1.0:
+        raise ValueError(f"need num >= 1 and 0 < ratio < 1, got num={num} and ratio={ratio}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     lam_max = float(np.max(np.abs(X.T @ y)) / X.shape[0])
     if lam_max <= 0.0:
         lam_max = 1.0
     return np.geomspace(lam_max, ratio * lam_max, num)
+
+
+def level_grid(values) -> np.ndarray:
+    """values as a float array; ValueError unless nonempty, positive and strictly decreasing."""
+    grid = np.asarray(values, dtype=float).ravel()
+    if grid.size == 0 or not np.all(grid > 0.0) or not np.all(np.diff(grid) < 0.0):
+        raise ValueError("a level grid must be nonempty, positive and strictly decreasing")
+    return grid
 
 
 def objective_value(X, y, beta, p: PenaltySpec) -> float:
@@ -211,6 +221,8 @@ def _design(X):
 
 def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
     """Shared coordinate-descent engine on the _design of a standardized X."""
+    if not tol > 0.0 or max_iter < 1:
+        raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol} and max_iter={max_iter}")
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
     Xf, cols, col_dev = design
@@ -351,14 +363,7 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
     """
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
-    grid = np.asarray(lambda_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("lambda_grid is empty")
-    if np.any(grid <= 0.0):
-        raise ValueError("lambda_grid must be positive")
-    if grid.size > 1 and not np.all(np.diff(grid) < 0.0):
-        raise ValueError("lambda_grid must be strictly decreasing")
-
+    grid = level_grid(lambda_grid)
     fits: list[FitResult] = []
     design = _design(prob.X)
     beta = init

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import (DegenerateColumnError, PathResult, RegressionProblem, fit_path,
-                     standardize)
+                     level_grid, standardize)
 
 _RSS_FLOOR = 1e-300
 
@@ -90,11 +90,7 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     """
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
-    grid = np.asarray(lambda_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("lambda_grid is empty")
-    if grid.size > 1 and not np.all(np.diff(grid) < 0.0):
-        raise ValueError("lambda_grid must be strictly decreasing")
+    grid = level_grid(lambda_grid)
     n = len(prob.y)
     if folds < 2:
         raise ValueError("folds must be at least 2")

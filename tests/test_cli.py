@@ -6,9 +6,8 @@ import pytest
 from l1concave.cli import main
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
-from l1concave.simulate import combined_lambda_grid
-from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path,
-                              standardize)
+from l1concave.simulate import combined_lambda_grid, cv_lasso_start
+from l1concave.solver import RegressionProblem, default_lambda_grid, fit_path, standardize
 from l1concave.tuning import bic_select, cv_select
 
 
@@ -28,14 +27,6 @@ def make_data(tmp_path, n=30, p=8, seed=3, sigma=0.2):
     write_csv(dpath, X, ",".join(f"x{j}" for j in range(p)))
     write_csv(rpath, y[:, None], "y")
     return dpath, rpath, X, y
-
-
-def cv_lasso_start(Xs, y, folds, seed):
-    """The start `path` fits from: the lasso at its cross-validated level."""
-    grid = default_lambda_grid(Xs, y)
-    sel = cv_select(RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0)), grid,
-                    folds=folds, seed=seed)
-    return fit_lasso(RegressionProblem(Xs, y), float(grid[sel.chosen_index])).beta
 
 
 def read_rows(path):
@@ -83,6 +74,30 @@ def test_fit_score_roundtrip(tmp_path, capsys):
     assert rc == 0
     rescored = float(capsys.readouterr().out.split()[1])
     assert abs(rescored - reported) <= 1e-10 * max(1.0, abs(reported))
+    # the true sparsity is unknown, so no sparsity premise is claimed
+    cert = next(l for l in fit_out.splitlines() if l.startswith("certificate"))
+    assert cert.startswith("certificate residual=") and "sparsity=" not in cert
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "X.csv", "y.csv", "--lambda", "abc"], ["fit", "X.csv"],
+    ["path", "X.csv", "y.csv", "--lambda", "0.1"],
+    ["score", "X.csv", "y.csv", "--fit", "fit.csv", "--tol", "1e-5"],
+    ["score", "X.csv", "y.csv", "--fit", "fit.csv", "--max-iter", "5"],
+])
+def test_usage_error_exits_1(argv, capsys):
+    # exit 2 is reserved for nonconvergence
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["path", "--help"])
+    assert exc.value.code == 0
+    assert "--grid-size" in capsys.readouterr().out
 
 
 def test_malformed_csv_reports_row_col(tmp_path, capsys):
@@ -125,7 +140,7 @@ def test_path_single_and_marker(tmp_path):
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05))
     lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
     grid = combined_lambda_grid("hard", None, 0.05, lam_max, 8, 0.05)
-    path = fit_path(prob, grid, init=cv_lasso_start(Xs, y, folds=10, seed=0))
+    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 10))
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
 
@@ -142,22 +157,22 @@ def test_path_cv_marks_cv_choice(tmp_path, capsys):
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05))
     grid = [float(r[header.index("lambda")]) for r in rows]
     assert selected == [cv_select(prob, grid, folds=3, seed=0).chosen_index]
-    path = fit_path(prob, grid, init=cv_lasso_start(Xs, y, folds=3, seed=0))
+    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 3))
     assert [float(r[header.index("kkt_inf")]) for r in rows] == [f.kkt_inf for f in path.fits]
     assert [int(r[header.index("nnz")]) for r in rows] == [f.nnz for f in path.fits]
 
 
 def test_path_cv_start_uses_tol_and_max_iter(tmp_path, monkeypatch):
     # the cross-validated lasso start runs at the path's own tol and max_iter
-    from l1concave import cli
+    from l1concave import simulate
 
-    seen, real = [], cli.cv_select
+    seen, real = [], simulate.cv_select
 
     def spy(*args, **kwargs):
         seen.append({k: kwargs.get(k) for k in ("folds", "seed", "tol", "max_iter")})
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "cv_select", spy)
+    monkeypatch.setattr(simulate, "cv_select", spy)
     dpath, rpath, _, _ = make_data(tmp_path)
     rc = main(["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
                "--grid-size", "4", "--folds", "3", "--seed", "4", "--tol", "1e-4",
@@ -190,6 +205,21 @@ def test_path_bad_grid_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "path.csv")])
     assert rc == 1
     assert "--lambdas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("path", ["--grid-size", "0"]), ("path", ["--grid-ratio", "2"]),
+    ("path", ["--grid-ratio", "1"]),
+    ("fit", ["--tol", "0"]), ("fit", ["--max-iter", "0"]), ("path", ["--tol", "-1"]),
+])
+def test_bad_solver_setting_exits_1_without_output(tmp_path, capsys, command, flags):
+    dpath, rpath, _, _ = make_data(tmp_path)
+    out = tmp_path / "out.csv"
+    rc = main([command, str(dpath), str(rpath), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_study_config_errors(tmp_path, capsys):

@@ -164,8 +164,6 @@ def test_shape_checks_validation():
     p = PenaltySpec("hard", 0.5)
     with pytest.raises(ValueError):
         check_shape_conditions(p, 1.0)
-    with pytest.raises(ValueError):
-        check_shape_conditions(p, 0.0, grid_n=50)
 
 
 def test_spec_validation():

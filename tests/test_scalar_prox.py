@@ -41,8 +41,6 @@ def test_zero_input_and_errors():
         prox_combined(math.nan, PenaltySpec("hard", 0.5))
     with pytest.raises(ValueError):
         prox_oracle(math.inf, PenaltySpec("hard", 0.5))
-    with pytest.raises(ValueError):
-        prox_oracle(1.0, PenaltySpec("hard", 0.5), grid_n=1000)
 
 
 def test_scad_example_matches_oracle():

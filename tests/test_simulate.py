@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from l1concave import simulate
+from l1concave.penalty import PenaltySpec
 from l1concave.simulate import (METRIC_NAMES, SimConfig, aggregate,
-                                combined_lambda_grid, gen_design, gen_response,
-                                run_study, study_beta0)
+                                combined_lambda_grid, cv_lasso_start, gen_design,
+                                gen_response, run_study, study_beta0)
+from l1concave.solver import RegressionProblem, default_lambda_grid, fit_lasso, standardize
+from l1concave.tuning import cv_select
 
 
 def test_study_beta0():
@@ -58,6 +61,21 @@ def test_combined_lambda_grid_threshold_mapping():
     assert g_hard == pytest.approx(expected, abs=1e-12)
     g_sica = combined_lambda_grid("sica", 0.1, lam0, lam_max, num=20, ratio=0.05)
     assert np.all(np.diff(g_sica) < 0) and np.all(g_sica > 0)
+    for num, ratio in ((0, 0.05), (20, 2.0), (20, 1.0), (20, 0.0)):
+        with pytest.raises(ValueError, match="num >= 1"):
+            combined_lambda_grid("hard", None, lam0, lam_max, num=num, ratio=ratio)
+
+
+def test_cv_lasso_start_is_the_lasso_at_the_cv_level():
+    X = gen_design(40, 12, 0.3, seed=11)
+    y = gen_response(X, study_beta0(12), 0.3, seed=12)
+    Xs, _ = standardize(X)
+    grid = default_lambda_grid(Xs, y, 12, 0.05)
+    sel = cv_select(RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0)), grid, folds=4, seed=3)
+    want = fit_lasso(RegressionProblem(Xs, y), float(grid[sel.chosen_index])).beta
+    # the concave penalty of the problem plays no part
+    prob = RegressionProblem(Xs, y, PenaltySpec("hard", 0.3, lambda0=0.1))
+    assert np.array_equal(cv_lasso_start(prob, grid, 4, 3), want)
 
 
 def test_config_validation():

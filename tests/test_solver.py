@@ -10,8 +10,8 @@ from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.solver import (DegenerateColumnError, RegressionProblem,
                               default_lambda_grid, fit_combined, fit_lasso,
-                              fit_path, objective_value, refit_ls, standardize,
-                              computable_certificate, universal_lambda0)
+                              fit_path, level_grid, objective_value, refit_ls,
+                              standardize, computable_certificate, universal_lambda0)
 
 
 def orthogonal_problem(n, seed=0, penalty=None):
@@ -73,6 +73,20 @@ def test_default_lambda_grid():
     assert grid[0] == pytest.approx(lam_max)
     assert grid[-1] == pytest.approx(0.02 * lam_max)
     assert len(grid) == 25 and np.all(np.diff(grid) < 0)
+    for num, ratio in ((0, 0.05), (25, 2.0), (25, 1.0), (25, 0.0)):
+        with pytest.raises(ValueError, match="num >= 1"):
+            default_lambda_grid(X, y, num=num, ratio=ratio)
+
+
+@pytest.mark.parametrize("values", [[], [0.1, 0.2], [0.3, 0.3], [0.3, -0.1], [0.0], [math.nan]])
+def test_level_grid_rejects_bad_grids(values):
+    with pytest.raises(ValueError, match="nonempty, positive and strictly decreasing"):
+        level_grid(values)
+
+
+def test_level_grid_returns_floats():
+    grid = level_grid([3, 2.5, 1])
+    assert grid.dtype == float and grid.tolist() == [3.0, 2.5, 1.0]
 
 
 def test_problem_validation():
@@ -255,12 +269,12 @@ def test_scale_roundtrip():
 def test_fit_path_validation_and_single_point():
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
     prob, _, _ = random_problem(40, 20, 3, 0.2, seed=13, penalty=spec)
-    with pytest.raises(ValueError):
-        fit_path(prob, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        fit_path(prob, [])
-    with pytest.raises(ValueError):
-        fit_path(prob, [0.3, -0.1])
+    for bad in ([0.1, 0.2], [], [0.3, -0.1]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            fit_path(prob, bad)
+    for tol, max_iter in ((0.0, 10), (-1.0, 10), (1e-7, 0)):
+        with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+            fit_path(prob, [0.3], tol=tol, max_iter=max_iter)
     init = fit_lasso(prob, 0.2).beta
     path = fit_path(prob, [0.3], init=init)
     direct = fit_combined(replace(prob, penalty=replace(spec, lam=0.3)), init=init)

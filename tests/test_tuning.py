@@ -139,7 +139,9 @@ def test_cv_degenerate_fold_skipped():
     assert sel.fold_warnings == 1
 
 
-def test_cv_validation():
+def test_cv_validation(monkeypatch):
+    from l1concave import tuning
+
     prob = lasso_problem(10, 3, seed=9)
     with pytest.raises(ValueError):
         cv_select(prob, np.array([0.1, 0.2]), folds=5)
@@ -147,3 +149,12 @@ def test_cv_validation():
         cv_select(prob, np.array([0.2, 0.1]), folds=1)
     with pytest.raises(ValueError):
         cv_select(prob, np.array([0.2, 0.1]), folds=11)
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold was fitted")
+
+    # a level <= 0 is rejected before any fold is fitted
+    monkeypatch.setattr(tuning, "fit_path", no_fold)
+    for bad in ([0.2, 0.0], [0.2, -0.1]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            cv_select(prob, np.array(bad), folds=5)
