@@ -47,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
+def _raise_first_bad_cell(path: str, i: int, rec: list[str]):
+    """Name the first cell of row i that is not a finite number, in column order."""
+    for j, cell in enumerate(rec, start=1):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise CLIError(f"{path}: row {i}, column {j}: not a number: {cell!r}") from None
+        if not math.isfinite(v):
+            raise CLIError(f"{path}: row {i}, column {j}: non-finite value {cell!r}")
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read a numeric CSV with a header row; report the first bad cell."""
     try:
@@ -66,15 +77,13 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 continue
             if len(rec) != ncol:
                 raise CLIError(f"{path}: row {i} has {len(rec)} fields, expected {ncol}")
-            vals = []
-            for j, cell in enumerate(rec, start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise CLIError(f"{path}: row {i}, column {j}: not a number: {cell!r}") from None
-                if not math.isfinite(v):
-                    raise CLIError(f"{path}: row {i}, column {j}: non-finite value {cell!r}")
-                vals.append(v)
+            try:
+                vals = list(map(float, rec))
+                ok = all(map(math.isfinite, vals))
+            except ValueError:
+                ok = False
+            if not ok:
+                _raise_first_bad_cell(path, i, rec)
             rows.append(vals)
     if not rows:
         raise CLIError(f"{path}: no data rows")
@@ -153,6 +162,10 @@ def _parse_lambdas(text: str) -> np.ndarray:
 
 
 def cmd_path(args) -> int:
+    if args.grid_size < 1:
+        raise CLIError(f"--grid-size must be at least 1, got {args.grid_size}")
+    if not 0.0 < args.grid_ratio < 1.0:
+        raise CLIError(f"--grid-ratio must lie strictly between 0 and 1, got {args.grid_ratio}")
     prob, scales, _ = _load_problem(args)
     n, p = prob.shape
     spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
@@ -165,7 +178,7 @@ def cmd_path(args) -> int:
         try:
             grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, float(cv_grid[0]),
                                         args.grid_size, args.grid_ratio)
-        except ValueError as exc:  # a bad --grid-size or --grid-ratio, or lambda0 swamps lam_max
+        except ValueError as exc:  # lambda0 so large that lambda0 + lam_max rounds to lambda0
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
     init = cv_lasso_start(prob, cv_grid, args.folds, args.seed, args.tol, args.max_iter)
     path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=init)
@@ -273,7 +286,8 @@ def cmd_audit(args) -> int:
     se = sparse_eigenvalue(X, min(2 * args.s, X.shape[1]), budget=args.budget,
                            samples=args.samples, seed=args.seed)
     re = restricted_eigenvalue_estimate(X, args.s, samples=args.samples, seed=args.seed)
-    gram = X.T @ X / X.shape[0]
+    n, p = X.shape
+    gram = (X @ X.T if n < p else X.T @ X) / n  # the smaller Gram has the same top eigenvalue
     phi_max = float(np.linalg.eigvalsh(gram)[-1])
     rows = [
         [f"kappa0_k{min(2 * args.s, X.shape[1])}", _fmt(se.value), se.method, str(se.evaluated)],

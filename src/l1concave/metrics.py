@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BLOCK_BYTES = 1 << 20  # bound on one stacked block of supports or RE directions
+
 
 @dataclass(frozen=True)
 class SparseEigenvalue:
@@ -96,12 +98,24 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def _blocks(items, item_bytes: int):
+    """Consecutive lists of items, in order, of at most _BLOCK_BYTES of arrays
+    (at least one item each)."""
+    items = iter(items)
+    per_block = max(1, _BLOCK_BYTES // item_bytes)
+    while block := list(itertools.islice(items, per_block)):
+        yield block
+
+
 def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
                       seed=0) -> SparseEigenvalue:
     """min over k-sparse supports of n^-1/2 sigma_min(X restricted to the support).
 
-    Enumerates every support when C(p, k) fits the budget; otherwise samples
-    supports at random (a deterministic, seeded upper bound on the minimum).
+    Enumerates every support when C(p, k) fits the budget, stopping at the
+    first exact zero; otherwise samples supports at random (a deterministic,
+    seeded upper bound on the minimum). The singular values of each block of
+    supports come from one stacked SVD, equal bit for bit to one SVD per
+    support.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -109,24 +123,27 @@ def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
         raise ValueError("k must be at least 1")
     k = min(k, p)
     scale = 1.0 / math.sqrt(n)
-    if math.comb(p, k) <= budget:
-        best = math.inf
-        count = 0
-        for supp in itertools.combinations(range(p), k):
-            sv = np.linalg.svd(X[:, supp], compute_uv=False)[-1]
-            count += 1
-            if sv < best:
-                best = sv
-                if best == 0.0:
-                    break
-        return SparseEigenvalue(value=best * scale, method="exhaustive", evaluated=count)
-    rng = np.random.default_rng(seed)
+    exhaustive = math.comb(p, k) <= budget
+    if exhaustive:
+        supports = itertools.combinations(range(p), k)
+    else:
+        if samples < 1:
+            raise ValueError("samples must be at least 1")
+        rng = np.random.default_rng(seed)
+        supports = (rng.choice(p, size=k, replace=False) for _ in range(samples))
     best = math.inf
-    for _ in range(samples):
-        supp = rng.choice(p, size=k, replace=False)
-        sv = np.linalg.svd(X[:, supp], compute_uv=False)[-1]
-        best = min(best, sv)
-    return SparseEigenvalue(value=best * scale, method="sampled", evaluated=samples)
+    count = 0
+    for block in _blocks(supports, 8 * n * k):
+        sv = np.linalg.svd(np.moveaxis(X[:, block], 1, 0), compute_uv=False)[:, -1]
+        zeros = np.flatnonzero(sv == 0.0) if exhaustive else ()
+        if len(zeros):
+            count += int(zeros[0]) + 1
+            best = 0.0
+            break
+        count += len(block)
+        best = min(best, float(sv.min()))
+    return SparseEigenvalue(value=best * scale,
+                            method="exhaustive" if exhaustive else "sampled", evaluated=count)
 
 
 def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,
@@ -136,10 +153,11 @@ def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,
     Draws directions delta with the first s coordinates free and the tail
     scaled onto the cone boundary ||tail||_1 = cone_factor * ||head||_1,
     evaluates n^-1/2 ||X delta||_2 / (||head||_2 v ||tail'||_2) where tail'
-    keeps the s largest tail magnitudes (ties to the lower index), and
-    returns the running minimum. Deterministic given the seed; each sample
-    uses its own derived seed so any partition of the sample budget across
-    workers reproduces the sequential result.
+    keeps the s largest tail magnitudes, and returns the running minimum.
+    Deterministic given the seed; each sample uses its own derived seed so
+    any partition of the sample budget across workers reproduces the
+    sequential result. Samples are drawn into blocks of at most _BLOCK_BYTES
+    and evaluated a block at a time.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -149,22 +167,24 @@ def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,
         raise ValueError("samples must be at least 1")
     scale = 1.0 / math.sqrt(n)
     best = math.inf
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        head = rng.standard_normal(s)
-        tail = rng.standard_normal(p - s)
-        l1_head = np.abs(head).sum()
-        l1_tail = np.abs(tail).sum()
-        if l1_tail > 0.0:
-            tail = tail * (cone_factor * l1_head / l1_tail)
-        delta = np.concatenate([head, tail])
-        order = np.argsort(-np.abs(tail), kind="stable")
-        top = tail[order[:s]]
-        denom = max(float(np.linalg.norm(head)), float(np.linalg.norm(top)))
-        if denom == 0.0:
-            continue
-        ratio = scale * float(np.linalg.norm(X @ delta)) / denom
-        best = min(best, ratio)
+    for block in _blocks(range(samples), 8 * p):
+        D = np.empty((len(block), p))
+        for i, row in zip(block, D):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+            rng.standard_normal(out=row[:s])
+            rng.standard_normal(out=row[s:])
+        head, tail = D[:, :s], D[:, s:]
+        l1_head = np.abs(head).sum(axis=1)
+        l1_tail = np.abs(tail).sum(axis=1)
+        onto_cone = np.divide(cone_factor * l1_head, l1_tail, out=np.ones_like(l1_tail),
+                              where=l1_tail > 0.0)
+        tail *= onto_cone[:, None]
+        top = np.sort(np.abs(tail), axis=1)[:, -s:]
+        denom = np.maximum(np.linalg.norm(head, axis=1), np.linalg.norm(top, axis=1))
+        keep = denom != 0.0
+        if keep.any():
+            ratio = scale * np.linalg.norm(X @ D.T, axis=0)[keep] / denom[keep]
+            best = min(best, float(ratio.min()))
     return best
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from l1concave.cli import main
+from l1concave.cli import CLIError, main, read_matrix_csv
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.simulate import combined_lambda_grid, cv_lasso_start
@@ -111,6 +111,20 @@ def test_malformed_csv_reports_row_col(tmp_path, capsys):
     assert "row 3" in err and "column 2" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1.0,inf,oops", "row 3, column 2: non-finite value 'inf'"),
+    ("1.0,oops,nan", "row 3, column 2: not a number: 'oops'"),
+    ("nan,1.0,oops", "row 3, column 1: non-finite value 'nan'"),
+    ("1.0,2.0,-1e999", "row 3, column 3: non-finite value '-1e999'"),
+])
+def test_csv_reports_the_first_bad_cell_of_a_row(tmp_path, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x0,x1,x2\n1.0,2.0,3.0\n{row}\n4.0,oops,5.0\n")
+    with pytest.raises(CLIError) as exc:
+        read_matrix_csv(str(bad))
+    assert str(exc.value) == f"{bad}: {message}"
+
+
 def test_nan_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x0\n1.0\nnan\n")
@@ -205,6 +219,19 @@ def test_path_bad_grid_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "path.csv")])
     assert rc == 1
     assert "--lambdas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--grid-size", "0"], "--grid-size"), (["--grid-size", "-2"], "--grid-size"),
+    (["--grid-ratio", "2"], "--grid-ratio"), (["--grid-ratio", "1"], "--grid-ratio"),
+    (["--grid-ratio", "0"], "--grid-ratio"), (["--grid-ratio", "nan"], "--grid-ratio"),
+])
+def test_path_bad_grid_flag_is_named(tmp_path, capsys, flags, flag):
+    dpath, rpath, _, _ = make_data(tmp_path)
+    rc = main(["path", str(dpath), str(rpath), *flags, "--out", str(tmp_path / "path.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {flag} must") and "--lambdas" not in err
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -369,3 +396,14 @@ def test_audit_identity_and_duplicates(tmp_path):
     _, rows = read_rows(out)
     table = {r[0]: float(r[1]) for r in rows}
     assert table["kappa0_k2"] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, p", [(6, 20), (20, 6), (9, 9)])
+def test_audit_phi_max_is_the_top_eigenvalue_of_the_gram(tmp_path, n, p):
+    X = np.random.default_rng(n * p).standard_normal((n, p))
+    write_csv(tmp_path / "X.csv", X, ",".join(f"x{j}" for j in range(p)))
+    out = tmp_path / "audit.csv"
+    assert main(["audit", str(tmp_path / "X.csv"), "--s", "2", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    phi_max = float(next(r[1] for r in rows if r[0] == "phi_max"))
+    assert phi_max == pytest.approx(np.linalg.eigvalsh(X.T @ X / n)[-1], rel=1e-12, abs=0.0)

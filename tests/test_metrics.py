@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from l1concave import metrics
 from l1concave.metrics import (ar1_covariance, equicorr_gram_infnorm, false_signs,
                                fp_fn, lq_loss, noise_event_check, prediction_error,
                                prediction_error_sampled,
@@ -188,3 +189,110 @@ def test_equicorr_matches_direct_inverse():
             val = equicorr_gram_infnorm(s, rho)
             assert val == pytest.approx(direct, abs=1e-10)
             assert val <= 2.0 / (1.0 - rho) + 1e-12
+
+
+# Reference loops: one SVD per support and one direction per sample, as
+# sparse_eigenvalue and restricted_eigenvalue_estimate computed them before
+# they were stacked into blocks.
+
+def sparse_eigenvalue_loop(X, k, budget=50_000, samples=2000, seed=0):
+    n, p = X.shape
+    k = min(k, p)
+    scale = 1.0 / math.sqrt(n)
+    if math.comb(p, k) <= budget:
+        best = math.inf
+        count = 0
+        for supp in itertools.combinations(range(p), k):
+            sv = np.linalg.svd(X[:, supp], compute_uv=False)[-1]
+            count += 1
+            if sv < best:
+                best = sv
+                if best == 0.0:
+                    break
+        return best * scale, "exhaustive", count
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(samples):
+        supp = rng.choice(p, size=k, replace=False)
+        sv = np.linalg.svd(X[:, supp], compute_uv=False)[-1]
+        best = min(best, sv)
+    return best * scale, "sampled", samples
+
+
+def restricted_eigenvalue_loop(X, s, cone_factor=7.0, samples=1000, seed=0):
+    n, p = X.shape
+    scale = 1.0 / math.sqrt(n)
+    best = math.inf
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        head = rng.standard_normal(s)
+        tail = rng.standard_normal(p - s)
+        l1_head = np.abs(head).sum()
+        l1_tail = np.abs(tail).sum()
+        if l1_tail > 0.0:
+            tail = tail * (cone_factor * l1_head / l1_tail)
+        delta = np.concatenate([head, tail])
+        order = np.argsort(-np.abs(tail), kind="stable")
+        top = tail[order[:s]]
+        denom = max(float(np.linalg.norm(head)), float(np.linalg.norm(top)))
+        if denom == 0.0:
+            continue
+        best = min(best, scale * float(np.linalg.norm(X @ delta)) / denom)
+    return best
+
+
+def duplicated_unit_column_design(n=15, p=8, seed=12):
+    """Columns 2 and 5 both sqrt(n) e_0: every support holding both has an
+    exactly zero singular value, and the first such support, (0, 2, 5) for
+    k = 3 or (2, 5) for k = 2, comes midway through the enumeration."""
+    X = np.random.default_rng(seed).standard_normal((n, p))
+    X[:, 2] = X[:, 5] = 0.0
+    X[0, 2] = X[0, 5] = math.sqrt(n)
+    return X
+
+
+@pytest.mark.parametrize("supports_per_block", [None, 1, 4, 5, 7])
+@pytest.mark.parametrize("case", ["exhaustive", "duplicate_k2", "duplicate_k3", "sampled",
+                                  "sampled_wide"])
+def test_sparse_eigenvalue_equals_per_support_loop(monkeypatch, case, supports_per_block):
+    rng = np.random.default_rng(13)
+    kwargs = {}
+    if case == "exhaustive":
+        X, k = rng.standard_normal((15, 9)), 3
+    elif case.startswith("duplicate"):
+        X, k = duplicated_unit_column_design(), int(case[-1])
+    elif case == "sampled":
+        X, k = rng.standard_normal((15, 9)), 3
+        kwargs = dict(budget=10, samples=23, seed=5)
+    else:
+        X, k = rng.standard_normal((12, 40)), 6
+        kwargs = dict(samples=101, seed=9)
+    if supports_per_block is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * X.shape[0] * k * supports_per_block)
+    res = sparse_eigenvalue(X, k, **kwargs)
+    assert (res.value, res.method, res.evaluated) == sparse_eigenvalue_loop(X, k, **kwargs)
+    if case.startswith("duplicate"):
+        assert res.value == 0.0 and res.evaluated < math.comb(X.shape[1], k)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sparse_eigenvalue_rejects_no_samples(samples):
+    X = np.random.default_rng(14).standard_normal((15, 9))
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        sparse_eigenvalue(X, 3, budget=1, samples=samples)
+    # the exhaustive branch draws no samples and does not read the count
+    assert sparse_eigenvalue(X, 3, samples=samples).evaluated == math.comb(9, 3)
+
+
+@pytest.mark.parametrize("samples_per_block", [None, 1, 3, 64])
+@pytest.mark.parametrize("n, p, s, samples", [(12, 8, 2, 10), (20, 15, 14, 37),
+                                              (30, 60, 7, 200), (10, 3, 2, 5)])
+def test_restricted_eigenvalue_matches_per_sample_loop(monkeypatch, samples_per_block,
+                                                       n, p, s, samples):
+    X = np.random.default_rng(15 + p).standard_normal((n, p))
+    if samples_per_block is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * p * samples_per_block)
+    for seed in (0, 4):
+        est = restricted_eigenvalue_estimate(X, s, samples=samples, seed=seed)
+        assert est == pytest.approx(restricted_eigenvalue_loop(X, s, samples=samples, seed=seed),
+                                    rel=1e-13, abs=0.0)
