@@ -99,8 +99,8 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
 
 
 def _blocks(items, item_bytes: int):
-    """Consecutive lists of items, in order, of at most _BLOCK_BYTES of arrays
-    (at least one item each)."""
+    """Consecutive lists of items, in order, each as long as fits item_bytes per
+    item into _BLOCK_BYTES (one item at least)."""
     items = iter(items)
     per_block = max(1, _BLOCK_BYTES // item_bytes)
     while block := list(itertools.islice(items, per_block)):
