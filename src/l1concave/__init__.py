@@ -9,10 +9,9 @@ reproducible Monte-Carlo study harness with CSV output.
 
 from .metrics import (ar1_covariance, equicorr_gram_infnorm, false_signs, fp_fn,
                       lq_loss, noise_event_check, prediction_error,
-                      prediction_error_sampled, restricted_eigenvalue_estimate,
-                      sparse_eigenvalue)
+                      restricted_eigenvalue_estimate, sparse_eigenvalue)
 from .penalty import (KINDS, PenaltySpec, ShapeCheckReport, check_shape_conditions,
-                      penalty_derivative, penalty_limit, penalty_value)
+                      penalty_derivative, penalty_value)
 from .scalar_prox import (combined_objective, level_for_threshold, prox_combined,
                           prox_oracle, zero_threshold)
 from .simulate import (SimConfig, StudyReport, combined_lambda_grid, cv_lasso_start,

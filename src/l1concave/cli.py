@@ -9,9 +9,9 @@ numerics; NaN/Inf rejected on input. Floats are written with 17 significant
 digits so write-then-read round-trips exactly.
 
 Config files are flat ``key = value`` lines with ``#`` comments. Recognized
-study keys: n, p, reps, seed, rho, sigma, beta0, methods, test_mode,
-test_size, c_grid, grid_size, grid_ratio, cv_folds, tol, max_iter, threads,
-report, raw. Unknown keys are a hard error.
+study keys: n, p, reps, seed, rho, sigma, beta0, methods, c_grid, grid_size,
+grid_ratio, cv_folds, tol, max_iter, threads, report, raw. Unknown keys are a
+hard error.
 
 Exit codes: 0 success, 1 input/config error, 2 numerical nonconvergence.
 """
@@ -208,11 +208,11 @@ def cmd_path(args) -> int:
 
 _STUDY_KEYS = {
     "n": int, "p": int, "reps": int, "seed": int, "rho": float, "sigma": float,
-    "test_size": int, "grid_size": int, "cv_folds": int, "max_iter": int,
-    "grid_ratio": float, "tol": float, "test_mode": str,
+    "grid_size": int, "cv_folds": int, "max_iter": int, "grid_ratio": float, "tol": float,
     "methods": str, "beta0": str, "c_grid": str,
     "threads": int, "report": str, "raw": str,
 }
+_RUN_KEYS = ("threads", "report", "raw")  # read by cmd_study; every other key is a SimConfig field
 
 
 def parse_config(path: str) -> dict:
@@ -241,11 +241,7 @@ def parse_config(path: str) -> dict:
 
 
 def _config_to_simconfig(conf: dict) -> SimConfig:
-    kwargs = {}
-    for key in ("n", "p", "reps", "seed", "rho", "sigma", "test_mode", "test_size",
-                "grid_size", "grid_ratio", "cv_folds", "tol", "max_iter"):
-        if key in conf:
-            kwargs[key] = conf[key]
+    kwargs = {key: value for key, value in conf.items() if key not in _RUN_KEYS}
     for key in ("n", "p", "reps", "seed"):
         if key not in kwargs:
             raise CLIError(f"config is missing required key {key!r}")

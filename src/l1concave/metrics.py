@@ -76,22 +76,6 @@ def prediction_error(beta_hat, beta0, sigma: float, Sigma0) -> float:
     return float(sigma**2 + d @ S @ d)
 
 
-def prediction_error_sampled(beta_hat, beta0, sigma: float, Sigma0, size: int = 10_000,
-                             seed=0) -> float:
-    """Monte-Carlo prediction error on a fresh test sample of the given size."""
-    a, b = _pair(beta_hat, beta0)
-    S = np.asarray(Sigma0, dtype=float)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise ValueError("Sigma0 must be positive definite") from None
-    rng = np.random.default_rng(seed)
-    Xt = rng.standard_normal((size, a.size)) @ L.T
-    yt = Xt @ b + sigma * rng.standard_normal(size)
-    resid = yt - Xt @ a
-    return float(resid @ resid / size)
-
-
 def ar1_covariance(p: int, rho: float) -> np.ndarray:
     """Sigma0 = (rho^|i-j|)."""
     idx = np.arange(p)
@@ -113,7 +97,8 @@ def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
 
     Enumerates every support when C(p, k) fits the budget, stopping at the
     first exact zero; otherwise samples supports at random (a deterministic,
-    seeded upper bound on the minimum). The singular values of each block of
+    seeded upper bound on the minimum). When k > n every support gives 0,
+    returned without an SVD (evaluated=1). The singular values of each block of
     supports come from one stacked SVD, equal bit for bit to one SVD per
     support.
     """
@@ -124,11 +109,14 @@ def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
     k = min(k, p)
     scale = 1.0 / math.sqrt(n)
     exhaustive = math.comb(p, k) <= budget
+    method = "exhaustive" if exhaustive else "sampled"
+    if not exhaustive and samples < 1:
+        raise ValueError("samples must be at least 1")
+    if k > n:  # an n x k restriction has rank at most n < k, so sigma_k = 0
+        return SparseEigenvalue(value=0.0, method=method, evaluated=1)
     if exhaustive:
         supports = itertools.combinations(range(p), k)
     else:
-        if samples < 1:
-            raise ValueError("samples must be at least 1")
         rng = np.random.default_rng(seed)
         supports = (rng.choice(p, size=k, replace=False) for _ in range(samples))
     best = math.inf
@@ -142,8 +130,7 @@ def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
             break
         count += len(block)
         best = min(best, float(sv.min()))
-    return SparseEigenvalue(value=best * scale,
-                            method="exhaustive" if exhaustive else "sampled", evaluated=count)
+    return SparseEigenvalue(value=best * scale, method=method, evaluated=count)
 
 
 def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,

@@ -5,11 +5,11 @@ The combined penalty applied to each coefficient magnitude t >= 0 is
     lambda0 * t + p(t),
 
 where p is a nondecreasing concave function with p(0) = 0. This module
-implements the concave component p only: its value, first and second
-derivatives, its limit at infinity, and a numerical verifier for the shape
-conditions under which coordinatewise-global minimizers acquire the
-hard-thresholding feature (every nonzero coefficient exceeds (1 - c1) * lam
-in magnitude).
+implements the concave component p only: its value (on arrays, and as a
+pure-float callable for the solver's sweep), its first and second
+derivatives, and a numerical verifier for the shape conditions under which
+coordinatewise-global minimizers acquire the hard-thresholding feature
+(every nonzero coefficient exceeds (1 - c1) * lam in magnitude).
 """
 
 from __future__ import annotations
@@ -188,25 +188,6 @@ def _second_derivative(p: PenaltySpec, t):
     return -2.0 * lam * a * (a + 1.0) / (a + t) ** 3
 
 
-def penalty_limit(p: PenaltySpec) -> float:
-    """p(inf) = lim_{t -> inf} p(t). math.inf for an l1 kind with lam > 0."""
-    lam, a = p.lam, p.shape
-    if p.kind == "l1":
-        return math.inf if lam > 0.0 else 0.0
-    if p.kind == "hard":
-        return 0.5 * lam**2
-    if p.kind == "scad":
-        return 0.5 * (a + 1.0) * lam**2
-    if p.kind == "mcp":
-        return 0.5 * a * lam**2
-    return lam * (a + 1.0)
-
-
-def hard_value(lam: float, t):
-    """Reference hard-thresholding penalty 0.5 * (lam^2 - (lam - t)_+^2)."""
-    return penalty_value(PenaltySpec("hard", lam), t)
-
-
 def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
     """Numerically verify the shape conditions for the hard-thresholding feature.
 
@@ -238,7 +219,7 @@ def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
         failed.append((CHECK_CONCAVE, float(ts[bad[0] + 1])))
 
     tc = np.linspace(0.0, lam, _SHAPE_GRID_N)
-    gap = penalty_value(p, tc) - hard_value(lam, tc)
+    gap = penalty_value(p, tc) - penalty_value(PenaltySpec("hard", lam), tc)
     bad = np.flatnonzero(gap < -1e-12)
     if bad.size:
         failed.append((CHECK_DOMINATES_HARD, float(tc[bad[0]])))

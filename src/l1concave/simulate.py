@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import (ar1_covariance, false_signs, fp_fn, lq_loss,
-                      noise_event_check, prediction_error, prediction_error_sampled)
+                      noise_event_check, prediction_error)
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
 from .solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path,
@@ -69,8 +69,6 @@ class SimConfig:
     sigma: float = 0.25
     beta0: np.ndarray | None = None
     methods: tuple[str, ...] = DEFAULT_METHODS
-    test_mode: str = "analytic"
-    test_size: int = 10_000
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     grid_size: int = 50
     grid_ratio: float = 0.05
@@ -96,10 +94,6 @@ class SimConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {KNOWN_METHODS}")
-        if self.test_mode not in ("analytic", "sampled"):
-            raise ValueError("test_mode must be 'analytic' or 'sampled'")
-        if self.test_size < 1:
-            raise ValueError("test_size must be at least 1")
         self.c_grid = tuple(self.c_grid)
         if not self.c_grid or not all(c >= 0.0 for c in self.c_grid):
             raise ValueError("c_grid must be a nonempty list of nonnegative constants")
@@ -178,20 +172,13 @@ def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: fl
     return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
 
 
-def _pe(beta_hat, cfg: SimConfig, Sigma0, seed) -> float:
-    if cfg.test_mode == "sampled":
-        return prediction_error_sampled(beta_hat, cfg.beta0, cfg.sigma, Sigma0,
-                                        size=cfg.test_size, seed=seed)
-    return prediction_error(beta_hat, cfg.beta0, cfg.sigma, Sigma0)
-
-
-def _row(cfg, r, method, beta_orig, Sigma0, pe_seed, fit=None, lam0=math.nan,
-         c=math.nan, cert=None, noise_event=False) -> dict:
+def _row(cfg, r, method, beta_orig, Sigma0, fit=None, lam0=math.nan, c=math.nan,
+         cert=None, noise_event=False) -> dict:
     fp, fn = fp_fn(beta_orig, cfg.beta0)
     return {
         "replicate": r,
         "method": method,
-        "pe": _pe(beta_orig, cfg, Sigma0, pe_seed),
+        "pe": prediction_error(beta_orig, cfg.beta0, cfg.sigma, Sigma0),
         "l2": lq_loss(beta_orig, cfg.beta0, 2),
         "l1": lq_loss(beta_orig, cfg.beta0, 1),
         "linf": lq_loss(beta_orig, cfg.beta0, math.inf),
@@ -219,7 +206,6 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     eps = y - X @ cfg.beta0
     Sigma0 = ar1_covariance(cfg.p, cfg.rho)
     s_true = int(np.count_nonzero(cfg.beta0))
-    pe_seed = np.random.SeedSequence((cfg.seed, r, 3))
 
     # the concentration event is recorded at the reference level c = 2 sigma;
     # there the union bound P(event) >= 1 - p erfc(sqrt(log max(n, p) / 2)) is
@@ -242,13 +228,13 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     for method in cfg.methods:
         if method == "oracle":
             beta = refit_ls(RegressionProblem(X, y), np.flatnonzero(cfg.beta0))
-            rows.append(_row(cfg, r, method, beta, Sigma0, pe_seed, noise_event=event))
+            rows.append(_row(cfg, r, method, beta, Sigma0, noise_event=event))
         elif method == "lasso":
             path = fit_path(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)),
                             lasso_grid, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
             sel = bic_select(path, prob)
             fit = path.fits[sel.chosen_index]
-            rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, pe_seed, fit=fit,
+            rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, fit=fit,
                              noise_event=event))
         else:
             kind = METHOD_KINDS[method]
@@ -265,7 +251,7 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
                     best = (val, path.fits[sel.chosen_index], lam0, c)
             _, fit, lam0, c = best
             cert = computable_certificate(fit, s_true)
-            rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, pe_seed, fit=fit,
+            rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, fit=fit,
                              lam0=lam0, c=c, cert=cert, noise_event=event))
     return rows
 

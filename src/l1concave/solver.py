@@ -93,7 +93,7 @@ class FitResult:
     kkt_inf: float
     coordinatewise_global: bool
     penalty: PenaltySpec
-    sweep_objectives: np.ndarray | None = None
+    sweep_objectives: np.ndarray  # objective at the start and after every sweep
 
     @property
     def nnz(self) -> int:
@@ -115,15 +115,9 @@ class CertificateReport:
     sparsity_ok: bool
     residual_ok: bool
     lambda_ok: bool
-    nnz: int
-    kkt_inf: float
     sparsity_bound: float
     residual_bound: float
     lambda_floor: float
-
-    @property
-    def passes(self) -> bool:
-        return self.sparsity_ok and self.residual_ok and self.lambda_ok
 
 
 def center(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -219,7 +213,7 @@ def _design(X):
     return Xf, [Xf[:, k] for k in range(X.shape[1])], float(dev[j])
 
 
-def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
+def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
     """Shared coordinate-descent engine on the _design of a standardized X."""
     if not tol > 0.0 or max_iter < 1:
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol} and max_iter={max_iter}")
@@ -243,7 +237,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
     r, buf = y - Xf @ beta, np.empty(n)
     pen, bb = _penalty_sum(beta, penalty), float(beta @ beta)  # running sums
     prev_obj = start_obj = float(r @ r) / (2.0 * n) + pen
-    objs = [prev_obj] if record else None
+    objs = [prev_obj]
 
     def sweep(idx, room=None) -> float:
         # room[j] is how far |z_j| sat below the zero zone's edge, less a
@@ -281,8 +275,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
                 "this indicates a prox bug"
             )
         prev_obj = obj
-        if record:
-            objs.append(obj)
+        objs.append(obj)
 
     sweeps = 0
     converged = False
@@ -329,7 +322,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter, record):
         kkt_inf=kkt_inf,
         coordinatewise_global=bool(converged and cw_dev < 10.0 * tol),
         penalty=penalty,
-        sweep_objectives=np.asarray(objs) if record else None,
+        sweep_objectives=np.asarray(objs),
     )
 
 
@@ -339,16 +332,16 @@ def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     spec = PenaltySpec("l1", 0.0, lambda0=float(lam))
-    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter, False)
+    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter)
 
 
 def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
-                 max_iter: int = 1000, record_objectives: bool = False) -> FitResult:
+                 max_iter: int = 1000) -> FitResult:
     """Cyclic coordinate descent where every update is the exact scalar global
     minimizer for the combined penalty in prob.penalty."""
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
-    return _cd_fit(_design(prob.X), prob.y, prob.penalty, init, tol, max_iter, record_objectives)
+    return _cd_fit(_design(prob.X), prob.y, prob.penalty, init, tol, max_iter)
 
 
 def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: int = 1000,
@@ -369,7 +362,7 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
     beta = init
     for lam in grid:
         fit = _cd_fit(design, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
-                      max_iter, False)
+                      max_iter)
         fits.append(fit)
         beta = fit.beta
     return PathResult(lambdas=grid, fits=fits)
@@ -385,8 +378,6 @@ def computable_certificate(fit: FitResult, s_hat: int) -> CertificateReport:
         sparsity_ok=fit.nnz <= sparsity,
         residual_ok=fit.kkt_inf <= residual,
         lambda_ok=fit.penalty.lam >= floor,
-        nnz=fit.nnz,
-        kkt_inf=fit.kkt_inf,
         sparsity_bound=sparsity,
         residual_bound=residual,
         lambda_floor=floor,

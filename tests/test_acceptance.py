@@ -148,8 +148,7 @@ def test_c05_objective_monotonicity():
             y = X @ beta0 + 0.4 * rng.standard_normal(n)
             Xs, _ = standardize(X)
             spec = PenaltySpec(kind, rng.uniform(0.1, 0.4), lambda0=rng.uniform(0.02, 0.2))
-            fit = fit_combined(RegressionProblem(Xs, y, spec),
-                               record_objectives=True)
+            fit = fit_combined(RegressionProblem(Xs, y, spec))
             objs = fit.sweep_objectives
             sweeps += len(objs) - 1
             rel = np.diff(objs) / np.maximum(1.0, np.abs(objs[:-1]))

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from l1concave.cli import CLIError, main, read_matrix_csv
+from l1concave.cli import _STUDY_KEYS, CLIError, main, read_matrix_csv
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
-from l1concave.simulate import combined_lambda_grid, cv_lasso_start
+from l1concave.simulate import SimConfig, combined_lambda_grid, cv_lasso_start
 from l1concave.solver import RegressionProblem, default_lambda_grid, fit_path, standardize
 from l1concave.tuning import bic_select, cv_select
 
@@ -268,7 +269,7 @@ STUDY_BODY = "n = 24\np = 10\nreps = 2\nseed = 11\nmethods = lasso, oracle\ngrid
 @pytest.mark.parametrize("setting, flags", [
     ("c_grid = -1", []), ("c_grid = 0.5, x", []), ("cv_folds = 1", []), ("cv_folds = 25", []),
     ("grid_size = 0", []), ("grid_ratio = 1", []), ("tol = -1", []), ("max_iter = 0", []),
-    ("test_size = 0", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
+    ("test_mode = sampled", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
 ])
 def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, flags):
     cfg = tmp_path / "study.cfg"
@@ -279,6 +280,13 @@ def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, fla
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
     assert not report.exists() and not raw.exists()
+    if setting.startswith("test_mode"):  # a key of an older config fails loudly
+        assert "unknown key 'test_mode'" in err
+
+
+def test_study_keys_are_the_simconfig_fields_plus_run_keys():
+    assert set(_STUDY_KEYS) - {"threads", "report", "raw"} == {
+        f.name for f in dataclasses.fields(SimConfig)}
 
 
 def test_audit_s_equal_to_p_exits_1(tmp_path, capsys):

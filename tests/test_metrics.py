@@ -8,7 +8,6 @@ from scipy.linalg import hadamard
 from l1concave import metrics
 from l1concave.metrics import (ar1_covariance, equicorr_gram_infnorm, false_signs,
                                fp_fn, lq_loss, noise_event_check, prediction_error,
-                               prediction_error_sampled,
                                restricted_eigenvalue_estimate, sparse_eigenvalue)
 
 
@@ -81,17 +80,15 @@ def test_prediction_error_sampled_within_3_se():
     bh = b0 + 0.2 * rng.standard_normal(p)
     sigma, size, seed = 0.3, 10_000, 77
     analytic = prediction_error(bh, b0, sigma, S)
-    sampled = prediction_error_sampled(bh, b0, sigma, S, size=size, seed=seed)
-    # independent oracle: rebuild the same test set and take the SE of the
-    # squared errors
+    # independent oracle: squared errors on a test sample drawn here, and
+    # their standard error
     orng = np.random.default_rng(seed)
     L = np.linalg.cholesky(S)
     Xt = orng.standard_normal((size, p)) @ L.T
     yt = Xt @ b0 + sigma * orng.standard_normal(size)
     sq = (yt - Xt @ bh) ** 2
-    assert sampled == pytest.approx(sq.mean())
     se = sq.std(ddof=1) / math.sqrt(size)
-    assert abs(analytic - sampled) <= 3 * se
+    assert abs(analytic - sq.mean()) <= 3 * se
 
 
 def test_sparse_eigenvalue_orthogonal_and_duplicate():
@@ -126,6 +123,22 @@ def test_sparse_eigenvalue_sampled_is_upper_bound():
     sampled = sparse_eigenvalue(X, 3, budget=1, samples=40, seed=5)
     assert sampled.method == "sampled"
     assert sampled.value >= full.value - 1e-12
+
+
+@pytest.mark.parametrize("kwargs, method", [({}, "exhaustive"),
+                                             (dict(budget=1, samples=20, seed=3), "sampled")])
+def test_sparse_eigenvalue_is_zero_without_svd_when_k_exceeds_n(monkeypatch, kwargs, method):
+    # every 5 x 8 restriction has rank at most 5, so sigma_8 = 0; the last of
+    # the 5 singular values an SVD returns would be sigma_5 > 0
+    X = np.random.default_rng(15).standard_normal((5, 10))
+    assert sparse_eigenvalue(X, 5, **kwargs).value > 0.0  # k = n still runs the SVD
+
+    def no_svd(*args, **kw):
+        raise AssertionError("SVD called with k > n")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    res = sparse_eigenvalue(X, 8, **kwargs)
+    assert (res.value, res.method, res.evaluated) == (0.0, method, 1)
 
 
 def test_restricted_eigenvalue_identity_design():

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l1concave.penalty import (CHECK_DOMINATES_HARD, CHECK_THRESHOLD_DERIVATIVE,
-                               KINDS, PenaltySpec, check_shape_conditions, hard_value,
-                               penalty_derivative, penalty_limit, penalty_value,
-                               scalar_value)
+                               KINDS, PenaltySpec, check_shape_conditions,
+                               penalty_derivative, penalty_value, scalar_value)
 
 
 def random_spec(kind, rng, lam=None):
@@ -49,7 +48,6 @@ def test_scad_value_matches_derivative_quadrature():
     integral = np.trapezoid(deriv, ts)
     assert integral == pytest.approx(0.5875, abs=1e-6)
     assert penalty_value(p, 10.0) == pytest.approx(0.5875, abs=1e-12)
-    assert penalty_limit(p) == pytest.approx(0.5875, abs=1e-12)
 
 
 def test_negative_t_rejected():
@@ -114,21 +112,6 @@ def test_concavity_chord_invariant():
             assert lhs >= rhs - 1e-10
 
 
-def test_penalty_limit_values():
-    assert penalty_limit(PenaltySpec("hard", 0.5)) == 0.125
-    assert penalty_limit(PenaltySpec("l1", 0.3)) == math.inf
-    assert penalty_limit(PenaltySpec("mcp", 0.5, shape=3.0)) == pytest.approx(0.375)
-    assert penalty_limit(PenaltySpec("sica", 0.5, shape=0.1)) == pytest.approx(0.55)
-
-
-def test_penalty_limit_agrees_with_far_value():
-    rng = np.random.default_rng(23)
-    for kind in ("hard", "scad", "mcp"):
-        for lam in (0.1, 0.5, 2.0):
-            p = random_spec(kind, rng, lam=lam)
-            assert abs(penalty_limit(p) - penalty_value(p, 1e3 * lam)) <= 1e-8
-
-
 def test_shape_checks_hard_passes_with_c1_zero():
     for lam in (0.1, 0.5, 2.0):
         rep = check_shape_conditions(PenaltySpec("hard", lam), 0.0)
@@ -142,7 +125,7 @@ def test_shape_checks_l1_fails_via_threshold_derivative():
     assert CHECK_THRESHOLD_DERIVATIVE in {name for name, _ in rep.failed_checks}
     # oracle at t = lam/2: the linear penalty dominates the quadratic cap,
     # so the domination check itself is satisfied
-    assert lam * (lam / 2) >= float(hard_value(lam, lam / 2))
+    assert lam * (lam / 2) >= float(penalty_value(PenaltySpec("hard", lam), lam / 2))
     assert CHECK_DOMINATES_HARD not in {name for name, _ in rep.failed_checks}
 
 

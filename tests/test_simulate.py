@@ -141,15 +141,6 @@ def test_noiseless_identifiability_combined():
         assert row["fp"] == 0 and row["fn"] == 0
 
 
-def test_sampled_test_mode():
-    cfg = SimConfig(n=30, p=10, reps=1, seed=8, sigma=0.25, methods=("oracle",),
-                    test_mode="sampled", test_size=4000)
-    cfg2 = SimConfig(n=30, p=10, reps=1, seed=8, sigma=0.25, methods=("oracle",))
-    pe_sampled = run_study(cfg).means[("oracle", "pe")]
-    pe_analytic = run_study(cfg2).means[("oracle", "pe")]
-    assert pe_sampled == pytest.approx(pe_analytic, rel=0.15)
-
-
 def test_pool_rows_equal_serial_rows_at_desk_size():
     # at n=80, p=200 the solver's X'r matvec (16,000 multiply-adds) is large
     # enough for OpenBLAS to thread it; repr compares the NaN fields too

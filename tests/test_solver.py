@@ -181,7 +181,7 @@ def test_objective_monotone_per_sweep():
     for kind, seed in (("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
         spec = PenaltySpec(kind, 0.3, lambda0=0.12)
         prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed, penalty=spec)
-        fit = fit_combined(prob, record_objectives=True)
+        fit = fit_combined(prob)
         objs = fit.sweep_objectives
         assert objs is not None and len(objs) >= 2
         diffs = np.diff(objs)
@@ -206,7 +206,7 @@ def test_last_sweep_objective_agrees_with_recomputed_objective():
     for kind, seed in (("l1", 0), ("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
         spec = PenaltySpec(kind, 0.3, lambda0=0.12)
         prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed, penalty=spec)
-        fit = fit_combined(prob, record_objectives=True)
+        fit = fit_combined(prob)
         objs = fit.sweep_objectives
         assert fit.converged and fit.nnz > 0
         assert abs(objs[-1] - fit.objective) <= solver._RUNNING_RTOL * objs[0]

@@ -13,7 +13,8 @@ def make_fit(beta, penalty=PenaltySpec("l1", 0.0, 0.1)):
     beta = np.asarray(beta, dtype=float)
     return FitResult(beta=beta, support=np.flatnonzero(beta), objective=0.0,
                      iterations=1, converged=True, kkt_inf=0.0,
-                     coordinatewise_global=True, penalty=penalty)
+                     coordinatewise_global=True, penalty=penalty,
+                     sweep_objectives=np.zeros(2))
 
 
 def lasso_problem(n, p, seed, sigma=0.3):
