@@ -21,6 +21,6 @@ from .solver import (CertificateReport, DegenerateColumnError, FitResult,
                      PathResult, RegressionProblem, center, default_lambda_grid,
                      fit_combined, fit_lasso, fit_path, objective_value, refit_ls,
                      standardize, computable_certificate, universal_lambda0)
-from .tuning import SelectionResult, bic_select, bic_values, cv_select
+from .tuning import SelectionResult, bic_select, cv_select
 
 __version__ = "0.1.0"

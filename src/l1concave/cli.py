@@ -98,9 +98,7 @@ def read_vector_csv(path: str) -> np.ndarray:
 
 
 def _penalty_from_args(args, n: int, p: int, lam: float) -> PenaltySpec:
-    lam0 = args.lambda0
-    if args.c is not None:
-        lam0 = universal_lambda0(n, p, args.c)
+    lam0 = args.lambda0 if args.c is None else universal_lambda0(n, p, args.c)
     return PenaltySpec(args.penalty, lam, lambda0=lam0, shape=args.shape)
 
 
@@ -170,17 +168,17 @@ def cmd_path(args) -> int:
     n, p = prob.shape
     spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
     prob.penalty = spec
-    cv_grid = default_lambda_grid(prob.X, prob.y)
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
     else:
         # the levels whose selection thresholds the study scans, for every kind
+        lasso_grid = default_lambda_grid(prob.X, prob.y, args.grid_size, args.grid_ratio)
         try:
-            grid = combined_lambda_grid(spec.kind, spec.shape, spec.lambda0, float(cv_grid[0]),
-                                        args.grid_size, args.grid_ratio)
+            grid = combined_lambda_grid(spec, lasso_grid)
         except ValueError as exc:  # lambda0 so large that lambda0 + lam_max rounds to lambda0
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
-    init = cv_lasso_start(prob, cv_grid, args.folds, args.seed, args.tol, args.max_iter)
+    init = cv_lasso_start(prob, default_lambda_grid(prob.X, prob.y), args.folds, args.seed,
+                          args.tol, args.max_iter)
     path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=init)
     bic = bic_select(path, prob)
     sel = bic
@@ -192,7 +190,7 @@ def cmd_path(args) -> int:
         r = prob.y - prob.X @ fit.beta
         rows.append([
             _fmt(path.lambdas[k]), str(fit.nnz),
-            _fmt(np.abs(fit.beta).sum()), _fmt(np.max(np.abs(fit.beta)) if p else 0.0),
+            _fmt(np.abs(fit.beta).sum()), _fmt(np.max(np.abs(fit.beta))),
             _fmt(fit.kkt_inf), _fmt(float(r @ r)),
             _fmt(bic.criterion_values[k]), str(int(fit.converged)),
             "1" if k == sel.chosen_index else "0",
@@ -318,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         if level:
             sp.add_argument("--lambda", dest="lam", type=float, default=0.1,
                             help="concave-component level")
-        sp.add_argument("--lambda0", type=float, default=0.0, help="L1-component level")
-        sp.add_argument("--c", type=float, default=None,
-                        help="set lambda0 = c sqrt(log(max(n,p))/n) instead of --lambda0")
+        l1_level = sp.add_mutually_exclusive_group()
+        l1_level.add_argument("--lambda0", type=float, default=0.0, help="L1-component level")
+        l1_level.add_argument("--c", type=float, default=None,
+                              help="set lambda0 = c sqrt(log(max(n,p))/n) instead of --lambda0")
         sp.add_argument("--shape", type=float, default=None,
                         help="shape parameter a (scad/mcp/sica)")
         if solve:

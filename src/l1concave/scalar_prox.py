@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .penalty import PenaltySpec, penalty_value, scalar_value
+from .penalty import PenaltySpec, derivative_at_zero, penalty_value, scalar_value
 
 _CHUNK = 8192
 _ORACLE_N = 100_000  # oracle grid points: the grid alone pins the minimizer to ~1e-5
@@ -216,16 +216,16 @@ def zero_threshold(p: PenaltySpec) -> float:
     l1/hard/scad/mcp. For sica the minimizer jumps: the tie between zero
     and the interior stationary point happens at lambda0 + sqrt(2 lam (a+1))
     - a/2 once 2 lam (a+1) > a^2, and entry is continuous at
-    lambda0 + lam (a+1)/a below that. Used for screening in the
+    lambda0 + lam (a+1)/a below that. Everywhere but in that jump regime,
+    t = lambda0 + p'(0+) (derivative_at_zero). Used for screening in the
     coordinate-descent solver.
     """
-    if p.kind in ("l1", "hard", "scad", "mcp"):
-        return p.lambda0 + p.lam
-    a = p.shape
-    two_lc = 2.0 * p.lam * (a + 1.0)
-    if two_lc <= a * a:
-        return p.lambda0 + p.lam * (a + 1.0) / a
-    return p.lambda0 + math.sqrt(two_lc) - 0.5 * a
+    if p.kind == "sica":
+        a = p.shape
+        two_lc = 2.0 * p.lam * (a + 1.0)
+        if two_lc > a * a:
+            return p.lambda0 + math.sqrt(two_lc) - 0.5 * a
+    return p.lambda0 + derivative_at_zero(p)
 
 
 def level_for_threshold(p: PenaltySpec, tau: float) -> float:

@@ -22,7 +22,7 @@ from .metrics import (ar1_covariance, false_signs, fp_fn, lq_loss,
                       noise_event_check, prediction_error)
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
-from .solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path,
+from .solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path, level_grid,
                      refit_ls, standardize, computable_certificate, universal_lambda0)
 from .tuning import bic_select, cv_select
 
@@ -146,18 +146,14 @@ def gen_response(X, beta0, sigma: float, seed) -> np.ndarray:
     return X @ beta0 + sigma * rng.standard_normal(X.shape[0])
 
 
-def combined_lambda_grid(kind: str, shape: float | None, lambda0: float, lam_max: float,
-                         num: int = 50, ratio: float = 0.05) -> np.ndarray:
-    """Concave-level grid whose selection thresholds sweep
-    lambda0 + geomspace(lam_max, ratio * lam_max).
+def combined_lambda_grid(spec: PenaltySpec, lasso_grid) -> np.ndarray:
+    """Levels of spec's kind whose zero thresholds are spec.lambda0 + lasso_grid.
 
-    For hard/scad/mcp this is exactly the geometric level grid; for sica the
-    levels are mapped through the entry-threshold inverse so all kinds scan
-    the same selection-threshold range."""
-    if num < 1 or not 0.0 < ratio < 1.0:
-        raise ValueError(f"need num >= 1 and 0 < ratio < 1, got num={num} and ratio={ratio}")
-    spec = PenaltySpec(kind, 0.0, lambda0=lambda0, shape=shape)
-    taus = lambda0 + np.geomspace(lam_max, ratio * lam_max, num)
+    The lasso grid passes through level_grid; spec.lam plays no part. For
+    l1/hard/scad/mcp the levels are the lasso grid itself (exactly so at
+    lambda0 = 0); for sica they are mapped through the entry-threshold
+    inverse, so every kind scans the same selection thresholds."""
+    taus = spec.lambda0 + level_grid(lasso_grid)
     lams = np.array([level_for_threshold(spec, t) for t in taus])
     keep = np.concatenate([[True], np.diff(lams) < 0.0])
     return lams[keep]
@@ -216,7 +212,6 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     Xs, scales = standardize(X)
     prob = RegressionProblem(Xs, y)
     lasso_grid = default_lambda_grid(Xs, y, cfg.grid_size, cfg.grid_ratio)
-    lam_max = float(lasso_grid[0])  # geomspace returns its start exactly
 
     init = None
     if any(m != "oracle" for m in cfg.methods):
@@ -224,35 +219,33 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
         init = cv_lasso_start(prob, cv_grid, cfg.cv_folds,
                               np.random.SeedSequence((cfg.seed, r, 2)), cfg.tol, cfg.max_iter)
 
+    def bic_fit(spec):
+        """The BIC choice on the path over spec's levels, and its BIC."""
+        path = fit_path(replace(prob, penalty=spec), combined_lambda_grid(spec, lasso_grid),
+                        tol=cfg.tol, max_iter=cfg.max_iter, init=init)
+        sel = bic_select(path, prob)
+        return path.fits[sel.chosen_index], float(sel.criterion_values[sel.chosen_index])
+
     rows = []
     for method in cfg.methods:
         if method == "oracle":
             beta = refit_ls(RegressionProblem(X, y), np.flatnonzero(cfg.beta0))
             rows.append(_row(cfg, r, method, beta, Sigma0, noise_event=event))
         elif method == "lasso":
-            path = fit_path(replace(prob, penalty=PenaltySpec("l1", 0.0, 0.0)),
-                            lasso_grid, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
-            sel = bic_select(path, prob)
-            fit = path.fits[sel.chosen_index]
+            fit, _ = bic_fit(PenaltySpec("l1", 0.0))
             rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, fit=fit,
                              noise_event=event))
         else:
-            kind = METHOD_KINDS[method]
             best = None
             for c in cfg.c_grid:
                 lam0 = universal_lambda0(cfg.n, cfg.p, c)
-                grid = combined_lambda_grid(kind, None, lam0, lam_max,
-                                            cfg.grid_size, cfg.grid_ratio)
-                path = fit_path(replace(prob, penalty=PenaltySpec(kind, grid[0], lambda0=lam0)),
-                                grid, tol=cfg.tol, max_iter=cfg.max_iter, init=init)
-                sel = bic_select(path, prob)
-                val = float(sel.criterion_values[sel.chosen_index])
+                fit, val = bic_fit(PenaltySpec(METHOD_KINDS[method], 0.0, lambda0=lam0))
                 if best is None or val < best[0]:
-                    best = (val, path.fits[sel.chosen_index], lam0, c)
-            _, fit, lam0, c = best
+                    best = (val, fit, c)
+            _, fit, c = best
             cert = computable_certificate(fit, s_true)
             rows.append(_row(cfg, r, method, scales * fit.beta, Sigma0, fit=fit,
-                             lam0=lam0, c=c, cert=cert, noise_event=event))
+                             lam0=fit.penalty.lambda0, c=c, cert=cert, noise_event=event))
     return rows
 
 
@@ -328,10 +321,7 @@ def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
             per_rep = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)]))
     rows = [row for rep in per_rep for row in rep]
     means, ses = aggregate(rows, cfg.methods)
-    seen = {}
-    for row in rows:
-        seen.setdefault(row["replicate"], bool(row["noise_event"]))
-    freq = float(np.mean([v for v in seen.values()])) if seen else math.nan
+    freq = float(np.mean([rep[0]["noise_event"] for rep in per_rep]))
     return StudyReport(config=cfg, rows=rows, means=means, ses=ses,
                        noise_event_frequency=freq)
 

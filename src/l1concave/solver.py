@@ -305,7 +305,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
     # with |grad_j| in the zero zone satisfies prox(grad_j) = 0 exactly
     r = y - Xf @ beta
     grad = Xf.T @ r / n
-    kkt_inf = float(np.max(np.abs(grad))) if p else 0.0
+    kkt_inf = float(np.max(np.abs(grad)))
     pen_fresh = _penalty_sum(beta, penalty)
     if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
         raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
@@ -331,8 +331,7 @@ def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
     """Cyclic coordinate descent with soft thresholding at level lam."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    spec = PenaltySpec("l1", 0.0, lambda0=float(lam))
-    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter)
+    return _cd_fit(_design(prob.X), prob.y, PenaltySpec("l1", lam), init, tol, max_iter)
 
 
 def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
@@ -402,11 +401,9 @@ def refit_ls(prob: RegressionProblem, support) -> np.ndarray:
         raise ValueError("support index out of range")
     if support.size > prob.X.shape[0]:
         raise ValueError("support larger than the sample size")
-    Xs = prob.X[:, support]
-    sv = np.linalg.svd(Xs, compute_uv=False)
+    coef, _, _, sv = np.linalg.lstsq(prob.X[:, support], prob.y, rcond=None)
     if sv[-1] <= sv[0] * 1e-10:
         cond = math.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
         raise ValueError(f"support submatrix is rank deficient (condition number {cond:.3e})")
-    coef, *_ = np.linalg.lstsq(Xs, prob.y, rcond=None)
     beta[support] = coef
     return beta

@@ -29,12 +29,15 @@ class SelectionResult:
     floored: tuple[int, ...] = ()
 
 
-def bic_values(path: PathResult, prob: RegressionProblem) -> tuple[np.ndarray, tuple[int, ...]]:
-    """BIC(k) = n log(RSS_k / n) + ||b_k||_0 log n, recomputed from scratch.
+def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
+    """Pick the path point minimizing BIC(k) = n log(RSS_k / n) + ||b_k||_0 log n,
+    recomputed from scratch; ties go to the larger lambda.
 
-    RSS/n is floored at 1e-300; the indices of floored fits are returned so
-    callers can flag interpolating fits.
+    RSS/n is floored at 1e-300; the indices of floored fits are kept in
+    `floored` so callers can flag interpolating fits.
     """
+    if not path.fits:
+        raise ValueError("path is empty")
     n = len(prob.y)
     vals = np.empty(len(path.fits))
     floored = []
@@ -45,19 +48,11 @@ def bic_values(path: PathResult, prob: RegressionProblem) -> tuple[np.ndarray, t
             rss_n = _RSS_FLOOR
             floored.append(k)
         vals[k] = n * math.log(rss_n) + fit.nnz * math.log(n)
-    return vals, tuple(floored)
-
-
-def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
-    """Pick the path point minimizing BIC; ties go to the larger lambda."""
-    if not path.fits:
-        raise ValueError("path is empty")
-    vals, floored = bic_values(path, prob)
     return SelectionResult(
         chosen_index=int(np.argmin(vals)),
         criterion_values=vals,
         criterion="bic",
-        floored=floored,
+        floored=tuple(floored),
     )
 
 
@@ -92,15 +87,16 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         raise ValueError("prob.penalty is required")
     grid = level_grid(lambda_grid)
     n = len(prob.y)
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
-    if n < folds:
-        raise ValueError("need at least as many samples as folds")
+    if not 2 <= folds <= n:
+        raise ValueError(f"folds must lie in [2, n] = [2, {n}], got {folds}")
     if assignment is None:
         assignment = fold_assignment(n, folds, seed)
     assignment = np.asarray(assignment, dtype=int).ravel()
     if assignment.size != n:
         raise ValueError("assignment has wrong length")
+    outside = assignment[(assignment < 0) | (assignment >= folds)]
+    if outside.size:
+        raise ValueError(f"fold label {int(outside[0])} lies outside [0, {folds})")
 
     sq_err = np.zeros(grid.size)
     n_scored = 0

@@ -94,6 +94,16 @@ def test_usage_error_exits_1(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit"], ["score", "--fit", "fit.csv"], ["path"]],
+                         ids=["fit", "score", "path"])
+def test_lambda0_and_c_exclude_each_other(command, capsys):
+    # --c sets lambda0 itself, so passing both is a usage error, not a silent override
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "X.csv", "y.csv", *command[1:], "--lambda0", "0.3", "--c", "0.1"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["path", "--help"])
@@ -153,8 +163,7 @@ def test_path_single_and_marker(tmp_path):
     # cross-check the marker against the library selection on the study's grid
     Xs, _ = standardize(X)
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05))
-    lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
-    grid = combined_lambda_grid("hard", None, 0.05, lam_max, 8, 0.05)
+    grid = combined_lambda_grid(prob.penalty, default_lambda_grid(Xs, y, 8, 0.05))
     path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 10))
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
@@ -205,8 +214,8 @@ def test_path_sica_scans_study_thresholds(tmp_path):
     assert rc == 0
     header, rows = read_rows(out)
     Xs, _ = standardize(X)
-    lam_max = float(np.max(np.abs(Xs.T @ y)) / len(y))
-    grid = combined_lambda_grid("sica", None, 0.05, lam_max, 6, 0.05)
+    spec = PenaltySpec("sica", 0.0, lambda0=0.05)
+    grid = combined_lambda_grid(spec, default_lambda_grid(Xs, y, 6, 0.05))
     assert [float(r[header.index("lambda")]) for r in rows] == grid.tolist()
 
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from l1concave import scalar_prox
 from l1concave.penalty import KINDS, PenaltySpec
 from l1concave.simulate import combined_lambda_grid, gen_design, study_beta0
-from l1concave.solver import (RegressionProblem, fit_combined, fit_lasso, fit_path, standardize,
-                              universal_lambda0)
+from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_lasso,
+                              fit_path, standardize, universal_lambda0)
 
 SHAPES = {"scad": (2.1, 5.0), "mcp": (1.1, 4.0), "sica": (0.05, 2.0)}
 
@@ -156,7 +156,7 @@ def test_screened_sica_path_equals_unscreened_engine(monkeypatch):
     spec = PenaltySpec("sica", 0.0, lambda0=lam0, shape=0.1)
     prob = RegressionProblem(X, y, penalty=spec)
     lam_max = float(np.max(np.abs(X.T @ y)) / n)
-    grid = combined_lambda_grid("sica", 0.1, lam0, lam_max, num=15)
+    grid = combined_lambda_grid(spec, default_lambda_grid(X, y, 15, 0.05))
 
     calls = [0]
     make_prox = scalar_prox.make_prox

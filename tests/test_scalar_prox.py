@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l1concave.penalty import KINDS, PenaltySpec, check_shape_conditions, penalty_derivative
+from l1concave.penalty import (KINDS, PenaltySpec, check_shape_conditions, derivative_at_zero,
+                               penalty_derivative)
 from l1concave.scalar_prox import (ZERO_MARGIN, _real_cubic_roots, combined_objective,
                                    level_for_threshold, make_prox, prox_combined,
                                    prox_oracle, zero_threshold)
@@ -144,6 +145,16 @@ def test_prox_is_exactly_zero_inside_the_zero_zone(spec, u, sign):
     # the edge of the zone, is a branch of its own
     z = sign * u * zero_threshold(spec) * (1.0 - ZERO_MARGIN)
     assert make_prox(spec)(z) == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(specs_any_scale())
+def test_zero_threshold_is_lambda0_plus_slope_at_zero(spec):
+    # outside sica's jump regime the prox leaves zero where |z| reaches
+    # lambda0 + p'(0+)
+    a = spec.shape
+    assume(spec.kind != "sica" or 2.0 * spec.lam * (a + 1.0) <= a * a)
+    assert zero_threshold(spec) == spec.lambda0 + derivative_at_zero(spec)
 
 
 @st.composite

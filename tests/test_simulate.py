@@ -55,15 +55,29 @@ def test_gen_response():
 
 
 def test_combined_lambda_grid_threshold_mapping():
-    lam0, lam_max = 0.05, 1.2
-    g_hard = combined_lambda_grid("hard", None, lam0, lam_max, num=20, ratio=0.05)
-    expected = np.geomspace(lam_max, 0.05 * lam_max, 20)
-    assert g_hard == pytest.approx(expected, abs=1e-12)
-    g_sica = combined_lambda_grid("sica", 0.1, lam0, lam_max, num=20, ratio=0.05)
+    lam0, lasso = 0.05, np.geomspace(1.2, 0.05 * 1.2, 20)
+    g_hard = combined_lambda_grid(PenaltySpec("hard", 0.0, lambda0=lam0), lasso)
+    assert g_hard == pytest.approx(lasso, abs=1e-12)
+    g_sica = combined_lambda_grid(PenaltySpec("sica", 0.0, lambda0=lam0, shape=0.1), lasso)
     assert np.all(np.diff(g_sica) < 0) and np.all(g_sica > 0)
-    for num, ratio in ((0, 0.05), (20, 2.0), (20, 1.0), (20, 0.0)):
-        with pytest.raises(ValueError, match="num >= 1"):
-            combined_lambda_grid("hard", None, lam0, lam_max, num=num, ratio=ratio)
+    for bad in ([], [0.5, 0.5], [0.2, 0.4], [0.3, 0.0], [0.3, -0.1]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            combined_lambda_grid(PenaltySpec("hard", 0.0, lambda0=lam0), bad)
+
+
+@pytest.mark.parametrize("kind", ["l1", "hard", "scad", "mcp"])
+def test_combined_lambda_grid_is_the_lasso_grid(kind):
+    # the threshold of these kinds is lambda0 + lam, so their levels are the
+    # lasso grid: bit for bit at lambda0 = 0, up to the rounding of
+    # (lambda0 + g) - lambda0 above it; spec.lam plays no part
+    X = gen_design(30, 12, 0.4, seed=21)
+    y = gen_response(X, study_beta0(12), 0.3, seed=22)
+    Xs, _ = standardize(X)
+    lasso = default_lambda_grid(Xs, y, 25, 0.05)
+    assert np.array_equal(combined_lambda_grid(PenaltySpec(kind, 0.7), lasso), lasso)
+    for lam0 in (1e-3, 0.05, 0.8):
+        grid = combined_lambda_grid(PenaltySpec(kind, 0.7, lambda0=lam0), lasso)
+        assert grid == pytest.approx(lasso, rel=0.0, abs=1e-12)
 
 
 def test_cv_lasso_start_is_the_lasso_at_the_cv_level():

@@ -116,6 +116,16 @@ def test_lasso_orthogonal_soft_threshold():
     assert fit.converged and fit.kkt_inf <= lam + 1e-6
 
 
+def test_fit_lasso_is_a_one_point_l1_path():
+    prob, _, _ = random_problem(40, 15, 4, 0.3, seed=6)
+    l1 = replace(prob, penalty=PenaltySpec("l1", 0.0))
+    for lam in (0.5, 0.1, 0.01):
+        lasso, point = fit_lasso(prob, lam), fit_path(l1, [lam]).fits[0]
+        assert np.array_equal(lasso.beta, point.beta)
+        assert lasso.iterations == point.iterations
+        assert lasso.penalty == point.penalty == PenaltySpec("l1", lam)
+
+
 def test_lasso_kkt_zero_solution():
     prob, X, y = orthogonal_problem(8, seed=4)
     lam = float(np.max(np.abs(X.T @ y)) / 8) + 1e-9

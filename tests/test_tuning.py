@@ -154,8 +154,14 @@ def test_cv_validation(monkeypatch):
     def no_fold(*args, **kwargs):
         raise AssertionError("a fold was fitted")
 
-    # a level <= 0 is rejected before any fold is fitted
+    # a level <= 0, or a fold label outside [0, folds) that would leave its
+    # samples unscored, is rejected before any fold is fitted
     monkeypatch.setattr(tuning, "fit_path", no_fold)
+    for label in (7, 3, -1):
+        assignment = np.arange(10) % 3
+        assignment[[2, 5]] = label
+        with pytest.raises(ValueError, match=f"fold label {label} "):
+            cv_select(prob, np.array([0.2, 0.1]), folds=3, assignment=assignment)
     for bad in ([0.2, 0.0], [0.2, -0.1]):
         with pytest.raises(ValueError, match="strictly decreasing"):
             cv_select(prob, np.array(bad), folds=5)
