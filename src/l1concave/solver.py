@@ -22,6 +22,10 @@ exactly the updates a sweep over all coordinates would. The certificate
 recomputes the residual and the gradient from scratch and checks the
 coordinatewise-global condition prox(grad_j + b_j) = b_j on every
 coordinate not provably in the zero zone.
+
+The lasso alone also has an exact path solver, lasso_homotopy, which the
+cross-validation folds use; every beta it returns passes the same
+certificate, and the levels it cannot certify are left to coordinate descent.
 """
 
 from __future__ import annotations
@@ -213,10 +217,26 @@ def _design(X):
     return Xf, [Xf[:, k] for k in range(X.shape[1])], float(dev[j])
 
 
-def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
-    """Shared coordinate-descent engine on the _design of a standardized X."""
+def _certificate(Xf, y, beta, prox, zero_zone, tol):
+    """The residual, ||n^-1 X'r||_inf and the coordinatewise-global check of beta,
+    recomputed from scratch: |prox(grad_j + b_j) - b_j| < 10 tol on every
+    coordinate except the zeros with |grad_j| in the zero zone, where
+    prox(grad_j) = 0 exactly."""
+    r = y - Xf @ beta
+    grad = Xf.T @ r / Xf.shape[0]
+    check = np.flatnonzero((beta != 0.0) | (np.abs(grad) > zero_zone))
+    cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in check), default=0.0)
+    return r, float(np.max(np.abs(grad))), cw_dev < 10.0 * tol
+
+
+def _check_settings(tol, max_iter):
     if not tol > 0.0 or max_iter < 1:
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol} and max_iter={max_iter}")
+
+
+def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
+    """Shared coordinate-descent engine on the _design of a standardized X."""
+    _check_settings(tol, max_iter)
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
     Xf, cols, col_dev = design
@@ -301,18 +321,12 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
             converged = True
             break
 
-    # recompute the certificate quantities from scratch; a zero coordinate
-    # with |grad_j| in the zero zone satisfies prox(grad_j) = 0 exactly
-    r = y - Xf @ beta
-    grad = Xf.T @ r / n
-    kkt_inf = float(np.max(np.abs(grad)))
+    r, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
     pen_fresh = _penalty_sum(beta, penalty)
     if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
         raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
                            f"recomputation {pen_fresh!r}")
     objective = float(r @ r) / (2.0 * n) + pen_fresh
-    check = np.flatnonzero((beta != 0.0) | (np.abs(grad) > zero_zone))
-    cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in check), default=0.0)
     return FitResult(
         beta=beta,
         support=np.flatnonzero(beta),
@@ -320,7 +334,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
         iterations=sweeps,
         converged=converged,
         kkt_inf=kkt_inf,
-        coordinatewise_global=bool(converged and cw_dev < 10.0 * tol),
+        coordinatewise_global=bool(converged and certified),
         penalty=penalty,
         sweep_objectives=np.asarray(objs),
     )
@@ -365,6 +379,95 @@ def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: 
         fits.append(fit)
         beta = fit.beta
     return PathResult(lambdas=grid, fits=fits)
+
+
+def lasso_homotopy(X, y, levels, tol: float = 1e-7, max_iter: int = 1000) -> list[np.ndarray]:
+    """Lasso solutions on a standardized X at strictly decreasing L1 levels, by homotopy.
+
+    The lasso solution is piecewise linear in its level (Osborne, Presnell &
+    Turlach 2000; the LARS-lasso of Efron et al. 2004). From lambda_max =
+    ||n^-1 X'y||_inf down, each step holds the active set A and its signs s,
+    on which b_A(l) = G_AA^-1 (n^-1 X_A'y - l s) with G = X'X/n, and ends
+    where a variable enters or a coefficient reaches zero; the levels on the
+    way are read off that segment. A variable just dropped may not re-enter
+    with its old sign at the drop, nor one just added drop at its entry. Only
+    the columns X'x_j/n of entered j are formed, never all of G.
+
+    Returns the beta of the leading levels, each passing the check that
+    closes every coordinate-descent fit (_certificate at tol). The list stops
+    at the first level that fails it or that the path does not reach: within
+    max_iter steps, with fewer than n variables active, and with G_AA
+    nonsingular. The caller fits the remaining levels by coordinate descent.
+    """
+    _check_settings(tol, max_iter)
+    from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
+
+    levels = level_grid(levels)
+    Xf = _design(np.asarray(X, dtype=float))[0]
+    y = np.asarray(y, dtype=float).ravel()
+    n, p = Xf.shape
+    c0 = Xf.T @ y / n
+    GA = np.empty((p, min(n, p)), order="F")  # column i is X'x_j/n for j = act[i]
+    act, sgn = [], []  # A and s, in the same order
+    inactive = np.ones(p, dtype=bool)
+    ud = np.empty((0, 2))  # b_A(l) = ud[:, 0] - l ud[:, 1] on the current segment
+    lam, fresh, barred = math.inf, -1, None
+    out: list[np.ndarray] = []
+    steps = 0
+    while True:
+        m = len(act)
+        u, d = ud[:, 0], ud[:, 1]
+        e, a = c0 - GA[:, :m] @ u, GA[:, :m] @ d
+        # n^-1 x_j'r(l) = e_j + l a_j for inactive j; it reaches +l or -l at
+        # the roots in rows 0 and 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack([e / (1.0 - a), -e / (1.0 + a)])
+            drops = u / d
+        if barred is not None:
+            roots[barred] = np.nan
+        roots[:, ~inactive] = np.nan
+        roots = np.where((roots > 0.0) & (roots < lam), roots, 0.0)
+        drops = np.where((drops > 0.0) & (drops < lam) & (np.asarray(act) != fresh), drops, 0.0)
+        enter = int(np.argmax(roots))
+        drop = int(np.argmax(drops)) if m else -1
+        at = max(roots.flat[enter], drops[drop] if m else 0.0)
+
+        while len(out) < levels.size and levels[len(out)] >= at:
+            level = float(levels[len(out)])
+            beta = np.zeros(p)
+            beta[act] = u - level * d
+            spec = PenaltySpec("l1", level)
+            zero_zone = zero_threshold(spec) * (1.0 - ZERO_MARGIN)
+            if not _certificate(Xf, y, beta, make_prox(spec), zero_zone, tol)[2]:
+                return out
+            out.append(beta)
+        steps += 1
+        if len(out) == levels.size or steps > max_iter:
+            return out
+
+        if m and drops[drop] == at:
+            j = act[drop]
+            barred = (0 if sgn[drop] > 0.0 else 1, j)
+            act[drop], sgn[drop] = act[-1], sgn[-1]
+            GA[:, drop] = GA[:, m - 1]
+            act.pop()
+            sgn.pop()
+            inactive[j] = True
+            fresh = -1
+        else:
+            if m + 1 >= n:
+                return out
+            sign, j = divmod(enter, p)
+            GA[:, m] = Xf.T @ Xf[:, j] / n
+            act.append(j)
+            sgn.append(-1.0 if sign else 1.0)
+            inactive[j] = False
+            fresh, barred = j, None
+        lam = at
+        try:
+            ud = np.linalg.solve(GA[act, :len(act)], np.column_stack([c0[act], sgn]))
+        except np.linalg.LinAlgError:
+            return out
 
 
 def computable_certificate(fit: FitResult, s_hat: int) -> CertificateReport:

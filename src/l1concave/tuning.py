@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import (DegenerateColumnError, PathResult, RegressionProblem, fit_path,
-                     level_grid, standardize)
+                     lasso_homotopy, level_grid, standardize)
 
 _RSS_FLOOR = 1e-300
 
@@ -18,7 +18,9 @@ class SelectionResult:
     """Chosen path index plus the criterion trace.
 
     chosen_index minimizes criterion_values; exact ties resolve to the
-    earliest index, i.e. the largest lambda and the sparser fit.
+    earliest index, i.e. the largest lambda and the sparser fit. For CV,
+    cd_levels counts the fold levels fitted by coordinate descent and
+    nonconverged the fold fits among them that stopped at max_iter.
     """
 
     chosen_index: int
@@ -27,6 +29,8 @@ class SelectionResult:
     cv_folds: int | None = None
     fold_warnings: int = 0
     floored: tuple[int, ...] = ()
+    cd_levels: int = 0
+    nonconverged: int = 0
 
 
 def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
@@ -74,14 +78,16 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
               assignment=None, tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
     """K-fold cross-validation over the concave-level grid for prob's penalty.
 
-    Each fold's training rows are re-standardized, fitted along the grid by
-    fit_path starting from zero at the largest level, and scored on the held-out
-    rows in the original column scale; the criterion per grid point is the
-    mean held-out squared error pooled over folds. Fold rows are put into a
-    canonical (content-sorted) order first, so permuting the sample order
-    while keeping the per-sample fold assignment leaves the result identical.
-    Folds whose training design has a zero column are skipped and counted in
-    fold_warnings.
+    Each fold's training rows are re-standardized, fitted along the grid and
+    scored on the held-out rows in the original column scale; the criterion
+    per grid point is the mean held-out squared error pooled over folds. An
+    l1 penalty's fold levels lambda0 + grid come from lasso_homotopy, exact
+    and certified; the levels it cannot certify, and every level of the
+    other kinds, come from fit_path, warm-started from the last certified
+    fit or from zero. Fold rows are put into a canonical (content-sorted)
+    order first, so permuting the sample order while keeping the per-sample
+    fold assignment leaves the result identical. Folds whose training design
+    has a zero column are skipped and counted in fold_warnings.
     """
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
@@ -91,16 +97,20 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         raise ValueError(f"folds must lie in [2, n] = [2, {n}], got {folds}")
     if assignment is None:
         assignment = fold_assignment(n, folds, seed)
-    assignment = np.asarray(assignment, dtype=int).ravel()
-    if assignment.size != n:
+    labels = np.asarray(assignment, dtype=float).ravel()
+    if labels.size != n:
         raise ValueError("assignment has wrong length")
+    fractional = labels[~np.isfinite(labels) | (labels != np.floor(labels))]
+    if fractional.size:
+        raise ValueError(f"fold label {float(fractional[0])!r} is not an integer")
+    assignment = labels.astype(int)
     outside = assignment[(assignment < 0) | (assignment >= folds)]
     if outside.size:
         raise ValueError(f"fold label {int(outside[0])} lies outside [0, {folds})")
 
     sq_err = np.zeros(grid.size)
     n_scored = 0
-    warnings = 0
+    warnings = cd_levels = nonconverged = 0
     for f in range(folds):
         te = assignment == f
         if not te.any() or te.all():
@@ -112,10 +122,17 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         except DegenerateColumnError:
             warnings += 1
             continue
-        path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid,
-                        tol=tol, max_iter=max_iter)
-        for k, fit in enumerate(path.fits):
-            resid = yte - Xte @ (scales * fit.beta)
+        betas = []
+        if prob.penalty.kind == "l1":
+            betas = lasso_homotopy(Xtr_s, ytr, prob.penalty.lambda0 + grid, tol, max_iter)
+        if len(betas) < grid.size:
+            path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid[len(betas):],
+                            tol=tol, max_iter=max_iter, init=betas[-1] if betas else None)
+            betas += [fit.beta for fit in path.fits]
+            cd_levels += len(path.fits)
+            nonconverged += sum(not fit.converged for fit in path.fits)
+        for k, beta in enumerate(betas):
+            resid = yte - Xte @ (scales * beta)
             sq_err[k] += float(resid @ resid)
         n_scored += int(te.sum())
 
@@ -128,4 +145,6 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         criterion="cv",
         cv_folds=folds,
         fold_warnings=warnings,
+        cd_levels=cd_levels,
+        nonconverged=nonconverged,
     )

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from l1concave import scalar_prox, solver
@@ -10,8 +12,9 @@ from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.solver import (DegenerateColumnError, RegressionProblem,
                               default_lambda_grid, fit_combined, fit_lasso,
-                              fit_path, level_grid, objective_value, refit_ls,
-                              standardize, computable_certificate, universal_lambda0)
+                              fit_path, lasso_homotopy, level_grid, objective_value,
+                              refit_ls, standardize, computable_certificate,
+                              universal_lambda0)
 
 
 def orthogonal_problem(n, seed=0, penalty=None):
@@ -364,3 +367,97 @@ def test_refit_ls_errors():
         refit_ls(prob, [0, 0])
     with pytest.raises(ValueError, match="range"):
         refit_ls(prob, [5])
+
+
+def certified_lasso(prob, level, beta, tol=1e-7):
+    """Whether beta passes the coordinatewise-global check at this L1 level on
+    every coordinate, recomputed here from prox_combined."""
+    spec = PenaltySpec("l1", float(level))
+    grad = prob.X.T @ (prob.y - prob.X @ beta) / prob.X.shape[0]
+    return all(abs(prox_combined(float(g + b), spec) - b) < 10 * tol for g, b in zip(grad, beta))
+
+
+@st.composite
+def lasso_problems(draw):
+    """A standardized problem with n <= 30, tall (p < n) or wide (n < p <= 60),
+    about five true nonzeros, and six levels between 1.2 and 0.05 lambda_max."""
+    n = draw(st.integers(5, 30))
+    p = draw(st.integers(1, n - 1) if draw(st.booleans()) else st.integers(n + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, _ = standardize(rng.standard_normal((n, p)))
+    beta0 = rng.standard_normal(p) * (rng.random(p) < min(1.0, 5.0 / p))
+    y = X @ beta0 + 0.5 * rng.standard_normal(n)
+    lam_max = float(np.max(np.abs(X.T @ y))) / n
+    levels = lam_max * np.array(sorted(draw(st.lists(st.floats(0.05, 1.2), min_size=1,
+                                                     max_size=6, unique=True)), reverse=True))
+    return RegressionProblem(X, y), levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(lasso_problems())
+def test_homotopy_is_certified_and_equals_tight_cd(case):
+    prob, levels = case
+    n, p = prob.shape
+    betas = lasso_homotopy(prob.X, prob.y, levels)
+    if p < n:  # |A| <= p < n: only a singular G_AA could stop it, which needs a tie
+        assert len(betas) == levels.size
+    for level, beta in zip(levels, betas):
+        assert certified_lasso(prob, level, beta)
+        ref = fit_lasso(prob, float(level), tol=1e-12, max_iter=200_000)
+        assert ref.converged
+        assert np.max(np.abs(beta - ref.beta)) <= 1e-8
+
+
+def test_homotopy_follows_a_coefficient_back_to_zero():
+    # searched case: on this AR(0.7) design coefficient 3 enters the path and
+    # leaves it again further down the grid
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 6))
+    X[:, 1:] = 0.7 * X[:, :-1] + math.sqrt(1 - 0.49) * X[:, 1:]
+    X, _ = standardize(X)
+    y = X @ np.array([1.0, -0.8, 0.6, 0.0, 0.0, 0.0]) + 0.3 * rng.standard_normal(20)
+    prob = RegressionProblem(X, y)
+    grid = default_lambda_grid(X, y, num=20, ratio=0.01)
+    betas = lasso_homotopy(X, y, grid)
+    assert len(betas) == grid.size
+    on = np.flatnonzero([b[3] != 0.0 for b in betas])
+    assert on.size and betas[-1][3] == 0.0 and on[-1] < grid.size - 1
+    for level, beta in zip(grid, betas):
+        ref = fit_lasso(prob, float(level), tol=1e-12, max_iter=200_000)
+        assert np.max(np.abs(beta - ref.beta)) <= 1e-8
+
+
+def test_homotopy_hands_a_singular_gram_to_cd():
+    # searched case: column 1 duplicates column 0, and rounding lets the
+    # duplicate enter beside it, so G_AA is singular; the homotopy stops
+    # there and coordinate descent, warm-started from its last fit, certifies
+    # the remaining levels
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((30, 8))
+    X[:, 1] = X[:, 0]
+    X, _ = standardize(X)
+    y = X[:, 0] + 0.5 * X[:, 3] + 0.1 * rng.standard_normal(30)
+    prob = RegressionProblem(X, y, PenaltySpec("l1", 0.0))
+    grid = default_lambda_grid(X, y, num=30, ratio=0.01)
+    betas = lasso_homotopy(X, y, grid)
+    assert 0 < len(betas) < grid.size
+    assert all(certified_lasso(prob, level, beta) for level, beta in zip(grid, betas))
+    rest = fit_path(prob, grid[len(betas):], init=betas[-1])
+    assert all(fit.coordinatewise_global for fit in rest.fits)
+
+
+def test_homotopy_validation_and_levels_above_lambda_max():
+    prob, _, _ = random_problem(30, 10, 3, 0.3, seed=21)
+    lam_max = float(np.max(np.abs(prob.X.T @ prob.y))) / 30
+    betas = lasso_homotopy(prob.X, prob.y, [2.0 * lam_max, (1.0 + 1e-9) * lam_max,
+                                            0.5 * lam_max])
+    assert len(betas) == 3
+    assert not betas[0].any() and not betas[1].any() and betas[2].any()
+    for bad in ([0.1, 0.2], [], [0.3, -0.1]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            lasso_homotopy(prob.X, prob.y, bad)
+    for tol, max_iter in ((0.0, 10), (1e-7, 0)):
+        with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+            lasso_homotopy(prob.X, prob.y, [0.3], tol=tol, max_iter=max_iter)
+    with pytest.raises(ValueError, match="run standardize"):
+        lasso_homotopy(2.0 * prob.X, prob.y, [0.3])

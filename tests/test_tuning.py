@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from l1concave.penalty import PenaltySpec
-from l1concave.solver import (FitResult, PathResult, RegressionProblem, fit_lasso,
-                              standardize)
+from l1concave.simulate import SimConfig, gen_design, gen_response
+from l1concave.solver import (FitResult, PathResult, RegressionProblem, default_lambda_grid,
+                              fit_lasso, fit_path, standardize)
 from l1concave.tuning import bic_select, cv_select, fold_assignment
 
 
@@ -157,6 +159,7 @@ def test_cv_validation(monkeypatch):
     # a level <= 0, or a fold label outside [0, folds) that would leave its
     # samples unscored, is rejected before any fold is fitted
     monkeypatch.setattr(tuning, "fit_path", no_fold)
+    monkeypatch.setattr(tuning, "lasso_homotopy", no_fold)
     for label in (7, 3, -1):
         assignment = np.arange(10) % 3
         assignment[[2, 5]] = label
@@ -165,3 +168,75 @@ def test_cv_validation(monkeypatch):
     for bad in ([0.2, 0.0], [0.2, -0.1]):
         with pytest.raises(ValueError, match="strictly decreasing"):
             cv_select(prob, np.array(bad), folds=5)
+    for label in (0.5, math.nan, math.inf):
+        assignment = (np.arange(10) % 3).astype(float)
+        assignment[4] = label
+        with pytest.raises(ValueError, match=f"fold label {label!r} is not an integer"):
+            cv_select(prob, np.array([0.2, 0.1]), folds=3, assignment=assignment)
+
+
+def test_cv_rejects_fractional_fold_labels():
+    # 0.9, 1.9 and 2.9 once cast to the folds 0, 1 and 2
+    prob = lasso_problem(30, 5, seed=10)
+    assignment = np.arange(30) % 3 + 0.9
+    with pytest.raises(ValueError, match="fold label 0.9 is not an integer"):
+        cv_select(prob, np.array([0.3, 0.1]), folds=3, assignment=assignment)
+    integral = cv_select(prob, np.array([0.3, 0.1]), folds=3, assignment=np.arange(30) % 3 + 0.0)
+    assert np.array_equal(integral.criterion_values,
+                          cv_select(prob, np.array([0.3, 0.1]), folds=3,
+                                    assignment=np.arange(30) % 3).criterion_values)
+
+
+def cd_cv(prob, grid, folds, seed, tol=1e-7, max_iter=1000):
+    """K-fold CV criterion from one warm-started fit_path per fold."""
+    assignment = fold_assignment(len(prob.y), folds, seed)
+    sq_err = np.zeros(len(grid))
+    for f in range(folds):
+        te = assignment == f
+        Xtr, scales = standardize(prob.X[~te])
+        path = fit_path(RegressionProblem(Xtr, prob.y[~te], prob.penalty), grid,
+                        tol=tol, max_iter=max_iter)
+        for k, fit in enumerate(path.fits):
+            resid = prob.y[te] - prob.X[te] @ (scales * fit.beta)
+            sq_err[k] += float(resid @ resid)
+    return sq_err / len(prob.y)
+
+
+@pytest.mark.parametrize("seed,r", [(20240817, 0), (20240817, 1), (20240818, 0), (20240818, 1)])
+def test_cv_lasso_homotopy_matches_cd_on_desk_replicates(seed, r):
+    # the study's CV-lasso start: design, response, grid and fold seed of replicate r
+    cfg = SimConfig(n=80, p=200, reps=2, seed=seed, rho=0.5, sigma=0.25)
+    X = gen_design(cfg.n, cfg.p, cfg.rho, np.random.SeedSequence((seed, r, 0)))
+    y = gen_response(X, cfg.beta0, cfg.sigma, np.random.SeedSequence((seed, r, 1)))
+    Xs, _ = standardize(X)
+    prob = RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0))
+    grid = default_lambda_grid(Xs, y, max(10, cfg.grid_size * 3 // 5), cfg.grid_ratio)
+    fold_seed = np.random.SeedSequence((seed, r, 2))
+    sel = cv_select(prob, grid, cfg.cv_folds, seed=fold_seed)
+    ref = cd_cv(prob, grid, cfg.cv_folds, fold_seed)
+    assert sel.cd_levels == 0 and sel.nonconverged == 0
+    assert sel.chosen_index == int(np.argmin(ref))
+    assert sel.criterion_values == pytest.approx(ref, rel=1e-5)
+
+
+def test_cv_counts_the_levels_cd_fits():
+    # 8 training rows and 40 columns: in two of the three folds the lasso
+    # needs 8 active variables above the grid's floor, and the homotopy hands
+    # those levels to coordinate descent
+    prob = lasso_problem(12, 40, seed=11, sigma=0.5)
+    grid = default_lambda_grid(prob.X, prob.y, num=15, ratio=0.01)
+    sel = cv_select(prob, grid, folds=3, seed=4)
+    assert 0 < sel.cd_levels < 3 * grid.size
+    assert sel.nonconverged == 0
+    ref = cd_cv(prob, grid, 3, 4, tol=1e-10, max_iter=100_000)
+    assert sel.criterion_values == pytest.approx(ref, rel=1e-5)
+    scad = replace(prob, penalty=PenaltySpec("scad", 0.0, 0.0, shape=3.7))
+    assert cv_select(scad, grid, folds=3, seed=4).cd_levels == 3 * grid.size
+
+
+def test_cv_counts_nonconverged_fold_fits():
+    prob = lasso_problem(30, 8, seed=12)
+    grid = default_lambda_grid(prob.X, prob.y, num=10, ratio=0.05)
+    sel = cv_select(prob, grid, folds=3, seed=5, max_iter=1)
+    assert sel.cd_levels > 0 and sel.nonconverged > 0
+    assert cv_select(prob, grid, folds=3, seed=5).nonconverged == 0
