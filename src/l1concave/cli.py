@@ -10,8 +10,7 @@ digits so write-then-read round-trips exactly.
 
 Config files are flat ``key = value`` lines with ``#`` comments. Recognized
 study keys: n, p, reps, seed, rho, sigma, beta0, methods, c_grid, grid_size,
-grid_ratio, cv_folds, tol, max_iter, threads, report, raw. Unknown keys are a
-hard error.
+grid_ratio, tol, max_iter, threads, report, raw. Unknown keys are a hard error.
 
 Exit codes: 0 success, 1 input/config error, 2 numerical nonconvergence.
 """
@@ -206,7 +205,7 @@ def cmd_path(args) -> int:
 
 _STUDY_KEYS = {
     "n": int, "p": int, "reps": int, "seed": int, "rho": float, "sigma": float,
-    "grid_size": int, "cv_folds": int, "max_iter": int, "grid_ratio": float, "tol": float,
+    "grid_size": int, "max_iter": int, "grid_ratio": float, "tol": float,
     "methods": str, "beta0": str, "c_grid": str,
     "threads": int, "report": str, "raw": str,
 }

@@ -62,6 +62,11 @@ def lq_loss(beta_hat, beta0, q) -> float:
     return float(np.sum(d**q) ** (1.0 / q))
 
 
+def _prediction_error(d: np.ndarray, sigma: float, S: np.ndarray) -> float:
+    """sigma^2 + d' S d for a positive definite S of matching shape; the caller checks."""
+    return float(sigma**2 + d @ S @ d)
+
+
 def prediction_error(beta_hat, beta0, sigma: float, Sigma0) -> float:
     """Analytic prediction error sigma^2 + d' Sigma0 d with d = beta_hat - beta0."""
     a, b = _pair(beta_hat, beta0)
@@ -72,8 +77,7 @@ def prediction_error(beta_hat, beta0, sigma: float, Sigma0) -> float:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise ValueError("Sigma0 must be positive definite") from None
-    d = a - b
-    return float(sigma**2 + d @ S @ d)
+    return _prediction_error(a - b, sigma, S)
 
 
 def ar1_covariance(p: int, rho: float) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import (ar1_covariance, false_signs, fp_fn, lq_loss,
-                      noise_event_check, prediction_error)
+from .metrics import (_prediction_error, ar1_covariance, false_signs, fp_fn, lq_loss,
+                      noise_event_check)
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
 from .solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path, level_grid,
@@ -72,7 +72,6 @@ class SimConfig:
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     grid_size: int = 50
     grid_ratio: float = 0.05
-    cv_folds: int = 10
     tol: float = 1e-7
     max_iter: int = 1000
 
@@ -101,8 +100,6 @@ class SimConfig:
             raise ValueError("grid_size must be at least 1")
         if not 0.0 < self.grid_ratio < 1.0:
             raise ValueError("grid_ratio must lie in (0, 1)")
-        if not 2 <= self.cv_folds <= self.n:
-            raise ValueError(f"cv_folds must lie in [2, n] = [2, {self.n}]")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
@@ -162,7 +159,7 @@ def combined_lambda_grid(spec: PenaltySpec, lasso_grid) -> np.ndarray:
 def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: float = 1e-7,
                    max_iter: int = 1000) -> np.ndarray:
     """The lasso fitted at the level of cv_grid that cv_select picks: the start of
-    every concave path in the study and in `l1concave path`. Ignores prob.penalty."""
+    `l1concave path`. Ignores prob.penalty."""
     sel = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
                     folds=folds, seed=seed, tol=tol, max_iter=max_iter)
     return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
@@ -174,7 +171,7 @@ def _row(cfg, r, method, beta_orig, Sigma0, fit=None, lam0=math.nan, c=math.nan,
     return {
         "replicate": r,
         "method": method,
-        "pe": prediction_error(beta_orig, cfg.beta0, cfg.sigma, Sigma0),
+        "pe": _prediction_error(beta_orig - cfg.beta0, cfg.sigma, Sigma0),
         "l2": lq_loss(beta_orig, cfg.beta0, 2),
         "l1": lq_loss(beta_orig, cfg.beta0, 1),
         "linf": lq_loss(beta_orig, cfg.beta0, math.inf),
@@ -200,6 +197,7 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     X = gen_design(cfg.n, cfg.p, cfg.rho, np.random.SeedSequence((cfg.seed, r, 0)))
     y = gen_response(X, cfg.beta0, cfg.sigma, np.random.SeedSequence((cfg.seed, r, 1)))
     eps = y - X @ cfg.beta0
+    # positive definite at every rho SimConfig accepts: the rows' PE skips the check
     Sigma0 = ar1_covariance(cfg.p, cfg.rho)
     s_true = int(np.count_nonzero(cfg.beta0))
 
@@ -213,16 +211,11 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     prob = RegressionProblem(Xs, y)
     lasso_grid = default_lambda_grid(Xs, y, cfg.grid_size, cfg.grid_ratio)
 
-    init = None
-    if any(m != "oracle" for m in cfg.methods):
-        cv_grid = default_lambda_grid(Xs, y, max(10, cfg.grid_size * 3 // 5), cfg.grid_ratio)
-        init = cv_lasso_start(prob, cv_grid, cfg.cv_folds,
-                              np.random.SeedSequence((cfg.seed, r, 2)), cfg.tol, cfg.max_iter)
-
     def bic_fit(spec):
-        """The BIC choice on the path over spec's levels, and its BIC."""
+        """The BIC choice on the path over spec's levels, and its BIC. The path starts
+        from zero, an exact fit where the zero threshold is spec.lambda0 + lambda_max."""
         path = fit_path(replace(prob, penalty=spec), combined_lambda_grid(spec, lasso_grid),
-                        tol=cfg.tol, max_iter=cfg.max_iter, init=init)
+                        tol=cfg.tol, max_iter=cfg.max_iter)
         sel = bic_select(path, prob)
         return path.fits[sel.chosen_index], float(sel.criterion_values[sel.chosen_index])
 

@@ -81,13 +81,13 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     Each fold's training rows are re-standardized, fitted along the grid and
     scored on the held-out rows in the original column scale; the criterion
     per grid point is the mean held-out squared error pooled over folds. An
-    l1 penalty's fold levels lambda0 + grid come from lasso_homotopy, exact
-    and certified; the levels it cannot certify, and every level of the
-    other kinds, come from fit_path, warm-started from the last certified
-    fit or from zero. Fold rows are put into a canonical (content-sorted)
-    order first, so permuting the sample order while keeping the per-sample
-    fold assignment leaves the result identical. Folds whose training design
-    has a zero column are skipped and counted in fold_warnings.
+    l1 penalty's fold levels lambda0 + grid, when strictly decreasing, come
+    from lasso_homotopy, exact and certified; the levels it cannot certify,
+    and every level otherwise, come from fit_path, warm-started from the
+    last certified fit or from zero. Fold rows are put into a canonical
+    (content-sorted) order first, so permuting the sample order while keeping
+    the per-sample fold assignment leaves the result identical. Folds whose
+    training design has a zero column are skipped and counted in fold_warnings.
     """
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
@@ -108,6 +108,8 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     if outside.size:
         raise ValueError(f"fold label {int(outside[0])} lies outside [0, {folds})")
 
+    levels = prob.penalty.lambda0 + grid
+    homotopy = prob.penalty.kind == "l1" and np.all(np.diff(levels) < 0.0)
     sq_err = np.zeros(grid.size)
     n_scored = 0
     warnings = cd_levels = nonconverged = 0
@@ -122,9 +124,7 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         except DegenerateColumnError:
             warnings += 1
             continue
-        betas = []
-        if prob.penalty.kind == "l1":
-            betas = lasso_homotopy(Xtr_s, ytr, prob.penalty.lambda0 + grid, tol, max_iter)
+        betas = lasso_homotopy(Xtr_s, ytr, levels, tol, max_iter) if homotopy else []
         if len(betas) < grid.size:
             path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid[len(betas):],
                             tol=tol, max_iter=max_iter, init=betas[-1] if betas else None)

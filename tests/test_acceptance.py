@@ -327,7 +327,7 @@ def test_c13_study_thread_determinism(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
         "n = 40\np = 24\nreps = 6\nseed = 1013\nsigma = 0.3\n"
-        "methods = lasso, l1_hard, oracle\ngrid_size = 10\ncv_folds = 3\n"
+        "methods = lasso, l1_hard, oracle\ngrid_size = 10\n"
         "c_grid = 0.25, 1.0\n"
     )
     raw1, raw2 = tmp_path / "raw1.csv", tmp_path / "raw2.csv"

@@ -276,7 +276,7 @@ STUDY_BODY = "n = 24\np = 10\nreps = 2\nseed = 11\nmethods = lasso, oracle\ngrid
 
 
 @pytest.mark.parametrize("setting, flags", [
-    ("c_grid = -1", []), ("c_grid = 0.5, x", []), ("cv_folds = 1", []), ("cv_folds = 25", []),
+    ("c_grid = -1", []), ("c_grid = 0.5, x", []), ("cv_folds = 3", []), ("rho = 1", []),
     ("grid_size = 0", []), ("grid_ratio = 1", []), ("tol = -1", []), ("max_iter = 0", []),
     ("test_mode = sampled", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
 ])
@@ -289,8 +289,9 @@ def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, fla
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
     assert not report.exists() and not raw.exists()
-    if setting.startswith("test_mode"):  # a key of an older config fails loudly
-        assert "unknown key 'test_mode'" in err
+    key = setting.split(" = ")[0]
+    if key in ("test_mode", "cv_folds"):  # a key of an older config fails loudly
+        assert f"unknown key '{key}'" in err
 
 
 def test_study_keys_are_the_simconfig_fields_plus_run_keys():
@@ -316,7 +317,7 @@ def test_study_reps1_deterministic(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
         "n = 24\np = 10\nreps = 1\nseed = 11\nsigma = 0.3\n"
-        "methods = lasso, oracle\ngrid_size = 8\ncv_folds = 3\n"
+        "methods = lasso, oracle\ngrid_size = 8\n"
         f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw1.csv'}\n"
     )
     assert main(["study", "--config", str(cfg), "--threads", "1"]) == 0
@@ -338,7 +339,7 @@ def test_study_threads_default_to_all_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_study", spy)
     cfg = tmp_path / "study.cfg"
     body = ("n = 24\np = 10\nreps = 2\nseed = 11\nsigma = 0.3\n"
-            "methods = oracle\ngrid_size = 8\ncv_folds = 3\n"
+            "methods = oracle\ngrid_size = 8\n"
             f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw.csv'}\n")
     cfg.write_text(body)
     assert main(["study", "--config", str(cfg)]) == 0
@@ -354,7 +355,7 @@ def test_study_nonconvergence_exits_2(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
         "n = 24\np = 10\nreps = 1\nseed = 11\nsigma = 0.3\n"
-        "methods = lasso, oracle\ngrid_size = 8\ncv_folds = 3\nmax_iter = 1\n"
+        "methods = lasso, oracle\ngrid_size = 8\nmax_iter = 1\n"
         f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw.csv'}\n"
     )
     assert main(["study", "--config", str(cfg), "--threads", "1"]) == 2

@@ -12,12 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l1concave import scalar_prox
 from l1concave.penalty import KINDS, PenaltySpec
-from l1concave.simulate import combined_lambda_grid, gen_design, study_beta0
+from l1concave.simulate import DEFAULT_C_GRID, combined_lambda_grid, gen_design, study_beta0
 from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_lasso,
                               fit_path, standardize, universal_lambda0)
 
@@ -229,3 +229,20 @@ def test_fits_accept_standardized_designs_and_name_an_off_norm_column(prob, data
         fit(replace(prob, X=near))
         with pytest.raises(ValueError, match=f"column {j} has norm"):
             fit(replace(prob, X=off))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(lambda wide: problems(wide=wide)),
+       st.sampled_from(DEFAULT_C_GRID), st.floats(-3.0, 3.0))
+def test_first_study_level_from_zero_is_exactly_zero(prob, c, log_scale):
+    # every study path starts from zero, which rests on this: at lambda0 > 0
+    # the first level's zero threshold lambda0 + lambda_max exceeds every
+    # |x_j'y|/n, so zero is the exact, certified fit there
+    n, p = prob.X.shape
+    assume(p >= 2)  # universal_lambda0 needs two columns
+    y = prob.y * 10.0**log_scale
+    spec = replace(prob.penalty, lambda0=c * universal_lambda0(n, p, 1.0))
+    lam = combined_lambda_grid(spec, default_lambda_grid(prob.X, y))[0]
+    fit = fit_combined(RegressionProblem(prob.X, y, replace(spec, lam=float(lam))))
+    assert not fit.beta.any()
+    assert fit.converged and fit.coordinatewise_global

@@ -125,7 +125,7 @@ def test_oracle_always_clean():
 
 def test_study_determinism():
     cfg = SimConfig(n=30, p=15, reps=2, seed=5, sigma=0.3, grid_size=10,
-                    cv_folds=3, c_grid=(0.25,), methods=("lasso", "l1_hard", "oracle"))
+                    c_grid=(0.25,), methods=("lasso", "l1_hard", "oracle"))
     a = run_study(cfg)
     b = run_study(cfg)
     assert a.means == b.means
@@ -137,7 +137,7 @@ def test_study_determinism():
 
 def test_se_recomputable_from_rows():
     cfg = SimConfig(n=30, p=12, reps=4, seed=6, sigma=0.3, grid_size=8,
-                    cv_folds=3, c_grid=(0.25,), methods=("lasso", "oracle"))
+                    c_grid=(0.25,), methods=("lasso", "oracle"))
     rep = run_study(cfg)
     means, ses = aggregate(rep.rows, cfg.methods)
     for m in cfg.methods:
@@ -149,7 +149,7 @@ def test_se_recomputable_from_rows():
 
 def test_noiseless_identifiability_combined():
     cfg = SimConfig(n=80, p=200, reps=2, seed=7, sigma=0.0, grid_size=25,
-                    cv_folds=4, c_grid=(0.125,), methods=("l1_hard",))
+                    c_grid=(0.125,), methods=("l1_hard",))
     rep = run_study(cfg)
     for row in rep.rows:
         assert row["fp"] == 0 and row["fn"] == 0
@@ -185,7 +185,7 @@ def test_pool_workers_run_one_blas_thread_and_caller_is_untouched(monkeypatch):
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", SpyPool)
     cfg = SimConfig(n=24, p=10, reps=2, seed=11, sigma=0.3, grid_size=8,
-                    cv_folds=3, c_grid=(0.25,), methods=("lasso", "oracle"))
+                    c_grid=(0.25,), methods=("lasso", "oracle"))
     run_study(cfg, threads=2)
     assert _blas_threads() == before
     assert len(pools) == 1 and pools[0]["initializer"] is simulate._one_blas_thread

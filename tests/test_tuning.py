@@ -204,16 +204,17 @@ def cd_cv(prob, grid, folds, seed, tol=1e-7, max_iter=1000):
 
 @pytest.mark.parametrize("seed,r", [(20240817, 0), (20240817, 1), (20240818, 0), (20240818, 1)])
 def test_cv_lasso_homotopy_matches_cd_on_desk_replicates(seed, r):
-    # the study's CV-lasso start: design, response, grid and fold seed of replicate r
+    # cv_select on desk data: the design and response of study replicate r, a
+    # 30-level lasso grid and 10 folds
     cfg = SimConfig(n=80, p=200, reps=2, seed=seed, rho=0.5, sigma=0.25)
     X = gen_design(cfg.n, cfg.p, cfg.rho, np.random.SeedSequence((seed, r, 0)))
     y = gen_response(X, cfg.beta0, cfg.sigma, np.random.SeedSequence((seed, r, 1)))
     Xs, _ = standardize(X)
     prob = RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0))
-    grid = default_lambda_grid(Xs, y, max(10, cfg.grid_size * 3 // 5), cfg.grid_ratio)
+    grid = default_lambda_grid(Xs, y, 30, cfg.grid_ratio)
     fold_seed = np.random.SeedSequence((seed, r, 2))
-    sel = cv_select(prob, grid, cfg.cv_folds, seed=fold_seed)
-    ref = cd_cv(prob, grid, cfg.cv_folds, fold_seed)
+    sel = cv_select(prob, grid, 10, seed=fold_seed)
+    ref = cd_cv(prob, grid, 10, fold_seed)
     assert sel.cd_levels == 0 and sel.nonconverged == 0
     assert sel.chosen_index == int(np.argmin(ref))
     assert sel.criterion_values == pytest.approx(ref, rel=1e-5)
@@ -240,3 +241,16 @@ def test_cv_counts_nonconverged_fold_fits():
     sel = cv_select(prob, grid, folds=3, seed=5, max_iter=1)
     assert sel.cd_levels > 0 and sel.nonconverged > 0
     assert cv_select(prob, grid, folds=3, seed=5).nonconverged == 0
+
+
+def test_cv_l1_levels_rounded_together_by_lambda0_fall_back_to_cd():
+    # lambda0 + grid rounds both levels to 1e6, so the homotopy's strictly
+    # decreasing levels do not exist and coordinate descent fits every level
+    prob = lasso_problem(30, 5, seed=0)
+    grid = np.array([2e-11, 1e-11])
+    for kind in ("l1", "scad"):
+        swamped = replace(prob, penalty=PenaltySpec(kind, 0.0, lambda0=1e6))
+        sel = cv_select(swamped, grid, folds=3)
+        assert sel.cd_levels == 3 * grid.size
+        # cd_cv sums the held-out rows in another order
+        assert sel.criterion_values == pytest.approx(cd_cv(swamped, grid, 3, 0), rel=1e-12)
