@@ -158,6 +158,16 @@ def _parse_lambdas(text: str) -> np.ndarray:
         raise CLIError(f"bad --lambdas: {exc}") from None
 
 
+def _warn_cv(what: str, sel, start_converged: bool = True):
+    """One stderr line when a cross-validation left fold fits at max_iter or
+    skipped folds, or when the start fit it chose did not converge."""
+    if sel.nonconverged or sel.fold_warnings or not start_converged:
+        start = "" if start_converged else "; its full-data start fit stopped at max_iter"
+        print(f"warning: {what}: {sel.nonconverged} of {sel.cd_levels} coordinate-descent "
+              f"fold fits stopped at max_iter, {sel.fold_warnings} folds skipped{start}",
+              file=sys.stderr)
+
+
 def cmd_path(args) -> int:
     if args.grid_size < 1:
         raise CLIError(f"--grid-size must be at least 1, got {args.grid_size}")
@@ -176,14 +186,16 @@ def cmd_path(args) -> int:
             grid = combined_lambda_grid(spec, lasso_grid)
         except ValueError as exc:  # lambda0 so large that lambda0 + lam_max rounds to lambda0
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
-    init = cv_lasso_start(prob, default_lambda_grid(prob.X, prob.y), args.folds, args.seed,
-                          args.tol, args.max_iter)
-    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=init)
+    start, start_sel = cv_lasso_start(prob, default_lambda_grid(prob.X, prob.y), args.folds,
+                                      args.seed, args.tol, args.max_iter)
+    _warn_cv("the lasso start's CV", start_sel, start.converged)
+    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=start.beta)
     bic = bic_select(path, prob)
     sel = bic
     if args.cv:
         sel = cv_select(prob, grid, folds=args.folds, seed=args.seed,
                         tol=args.tol, max_iter=args.max_iter)
+        _warn_cv("the --cv selection", sel)
     rows = []
     for k, fit in enumerate(path.fits):
         r = prob.y - prob.X @ fit.beta

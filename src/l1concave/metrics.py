@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_BYTES = 1 << 20  # bound on one stacked block of supports or RE directions
+RE_CONE_FACTOR = 7.0  # the RE cone ||tail||_1 <= RE_CONE_FACTOR * ||head||_1
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,11 @@ def sparse_eigenvalue(X, k: int, budget: int = 50_000, samples: int = 2000,
     return SparseEigenvalue(value=best * scale, method=method, evaluated=count)
 
 
-def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,
-                                   samples: int = 1000, seed=0) -> float:
-    """Monte-Carlo upper bound on the restricted eigenvalue kappa(s, cone_factor).
+def restricted_eigenvalue_estimate(X, s: int, samples: int = 1000, seed=0) -> float:
+    """Monte-Carlo upper bound on the restricted eigenvalue kappa(s, RE_CONE_FACTOR).
 
     Draws directions delta with the first s coordinates free and the tail
-    scaled onto the cone boundary ||tail||_1 = cone_factor * ||head||_1,
+    scaled onto the cone boundary ||tail||_1 = RE_CONE_FACTOR * ||head||_1,
     evaluates n^-1/2 ||X delta||_2 / (||head||_2 v ||tail'||_2) where tail'
     keeps the s largest tail magnitudes, and returns the running minimum.
     Deterministic given the seed; each sample uses its own derived seed so
@@ -167,7 +167,7 @@ def restricted_eigenvalue_estimate(X, s: int, cone_factor: float = 7.0,
         head, tail = D[:, :s], D[:, s:]
         l1_head = np.abs(head).sum(axis=1)
         l1_tail = np.abs(tail).sum(axis=1)
-        onto_cone = np.divide(cone_factor * l1_head, l1_tail, out=np.ones_like(l1_tail),
+        onto_cone = np.divide(RE_CONE_FACTOR * l1_head, l1_tail, out=np.ones_like(l1_tail),
                               where=l1_tail > 0.0)
         tail *= onto_cone[:, None]
         top = np.sort(np.abs(tail), axis=1)[:, -s:]

@@ -22,9 +22,10 @@ from .metrics import (_prediction_error, ar1_covariance, false_signs, fp_fn, lq_
                       noise_event_check)
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
-from .solver import (RegressionProblem, default_lambda_grid, fit_lasso, fit_path, level_grid,
-                     refit_ls, standardize, computable_certificate, universal_lambda0)
-from .tuning import bic_select, cv_select
+from .solver import (FitResult, RegressionProblem, _check_settings, computable_certificate,
+                     default_lambda_grid, fit_lasso, fit_path, level_grid, refit_ls,
+                     standardize, universal_lambda0)
+from .tuning import SelectionResult, bic_select, cv_select
 
 STUDY_BETA = (1.0, -0.5, 0.7, -1.2, -0.9, 0.3, 0.55)
 
@@ -100,10 +101,7 @@ class SimConfig:
             raise ValueError("grid_size must be at least 1")
         if not 0.0 < self.grid_ratio < 1.0:
             raise ValueError("grid_ratio must lie in (0, 1)")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_settings(self.tol, self.max_iter)
 
 
 @dataclass
@@ -157,12 +155,12 @@ def combined_lambda_grid(spec: PenaltySpec, lasso_grid) -> np.ndarray:
 
 
 def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: float = 1e-7,
-                   max_iter: int = 1000) -> np.ndarray:
-    """The lasso fitted at the level of cv_grid that cv_select picks: the start of
-    `l1concave path`. Ignores prob.penalty."""
+                   max_iter: int = 1000) -> tuple[FitResult, SelectionResult]:
+    """The lasso fitted at the level of cv_grid that cv_select picks, with that
+    selection: the start of `l1concave path`. Ignores prob.penalty."""
     sel = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
                     folds=folds, seed=seed, tol=tol, max_iter=max_iter)
-    return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter).beta
+    return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter), sel
 
 
 def _row(cfg, r, method, beta_orig, Sigma0, fit=None, lam0=math.nan, c=math.nan,

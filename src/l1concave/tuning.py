@@ -60,14 +60,6 @@ def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
     )
 
 
-def _canonical_order(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sort rows lexicographically by content so that fold computations do not
-    # depend on the order samples arrived in (identical rows commute).
-    keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
-    order = np.lexsort(keys)
-    return X[order], y[order]
-
-
 def fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
     """Deterministic fold id per sample index from a seeded permutation."""
     rng = np.random.default_rng(seed)
@@ -75,7 +67,7 @@ def fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
 
 
 def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
-              assignment=None, tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
+              tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
     """K-fold cross-validation over the concave-level grid for prob's penalty.
 
     Each fold's training rows are re-standardized, fitted along the grid and
@@ -84,10 +76,9 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     l1 penalty's fold levels lambda0 + grid, when strictly decreasing, come
     from lasso_homotopy, exact and certified; the levels it cannot certify,
     and every level otherwise, come from fit_path, warm-started from the
-    last certified fit or from zero. Fold rows are put into a canonical
-    (content-sorted) order first, so permuting the sample order while keeping
-    the per-sample fold assignment leaves the result identical. Folds whose
-    training design has a zero column are skipped and counted in fold_warnings.
+    last certified fit or from zero. The folds are fold_assignment(n, folds,
+    seed), each fold's rows taken in input order. Folds whose training design
+    has a zero column are skipped and counted in fold_warnings.
     """
     if prob.penalty is None:
         raise ValueError("prob.penalty is required")
@@ -95,19 +86,7 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     n = len(prob.y)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must lie in [2, n] = [2, {n}], got {folds}")
-    if assignment is None:
-        assignment = fold_assignment(n, folds, seed)
-    labels = np.asarray(assignment, dtype=float).ravel()
-    if labels.size != n:
-        raise ValueError("assignment has wrong length")
-    fractional = labels[~np.isfinite(labels) | (labels != np.floor(labels))]
-    if fractional.size:
-        raise ValueError(f"fold label {float(fractional[0])!r} is not an integer")
-    assignment = labels.astype(int)
-    outside = assignment[(assignment < 0) | (assignment >= folds)]
-    if outside.size:
-        raise ValueError(f"fold label {int(outside[0])} lies outside [0, {folds})")
-
+    assignment = fold_assignment(n, folds, seed)  # every fold is a nonempty proper subset
     levels = prob.penalty.lambda0 + grid
     homotopy = prob.penalty.kind == "l1" and np.all(np.diff(levels) < 0.0)
     sq_err = np.zeros(grid.size)
@@ -115,15 +94,12 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     warnings = cd_levels = nonconverged = 0
     for f in range(folds):
         te = assignment == f
-        if not te.any() or te.all():
-            continue
-        Xtr, ytr = _canonical_order(prob.X[~te], prob.y[~te])
-        Xte, yte = _canonical_order(prob.X[te], prob.y[te])
         try:
-            Xtr_s, scales = standardize(Xtr)
+            Xtr_s, scales = standardize(prob.X[~te])
         except DegenerateColumnError:
             warnings += 1
             continue
+        ytr, Xte, yte = prob.y[~te], prob.X[te], prob.y[te]
         betas = lasso_homotopy(Xtr_s, ytr, levels, tol, max_iter) if homotopy else []
         if len(betas) < grid.size:
             path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid[len(betas):],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_path_single_and_marker(tmp_path):
     Xs, _ = standardize(X)
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05))
     grid = combined_lambda_grid(prob.penalty, default_lambda_grid(Xs, y, 8, 0.05))
-    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 10))
+    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 10)[0].beta)
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
 
@@ -181,7 +182,7 @@ def test_path_cv_marks_cv_choice(tmp_path, capsys):
     prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05))
     grid = [float(r[header.index("lambda")]) for r in rows]
     assert selected == [cv_select(prob, grid, folds=3, seed=0).chosen_index]
-    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 3))
+    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 3)[0].beta)
     assert [float(r[header.index("kkt_inf")]) for r in rows] == [f.kkt_inf for f in path.fits]
     assert [int(r[header.index("nnz")]) for r in rows] == [f.nnz for f in path.fits]
 
@@ -203,6 +204,24 @@ def test_path_cv_start_uses_tol_and_max_iter(tmp_path, monkeypatch):
                "--max-iter", "37", "--out", str(tmp_path / "path.csv")])
     assert rc in (0, 2)
     assert seen == [{"folds": 3, "seed": 4, "tol": 1e-4, "max_iter": 37}]
+
+
+def test_path_reports_nonconverged_cv_on_stderr(tmp_path, capsys):
+    dpath, rpath, _, _ = make_data(tmp_path)
+    argv = ["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
+            "--grid-size", "4", "--folds", "3", "--cv", "--out", str(tmp_path / "path.csv")]
+    assert main(argv) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    assert main(argv + ["--max-iter", "1"]) == 2
+    out, err = capsys.readouterr()
+    start, selection = err.splitlines()
+    counts = (r"([1-9]\d*) of (\d+) coordinate-descent fold fits stopped at max_iter, "
+              "0 folds skipped")
+    assert re.fullmatch(f"warning: the lasso start's CV: {counts}; its full-data start fit "
+                        "stopped at max_iter", start)
+    assert re.fullmatch(f"warning: the --cv selection: {counts}", selection).group(2) == "12"
+    assert out.count("\n") == clean.out.count("\n") == 2
 
 
 def test_path_sica_scans_study_thresholds(tmp_path):

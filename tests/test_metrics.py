@@ -151,8 +151,8 @@ def test_restricted_eigenvalue_identity_design():
 def test_restricted_eigenvalue_single_sample_ratio():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((12, 8))
-    n, s, cone = 12, 2, 7.0
-    est = restricted_eigenvalue_estimate(X, s=s, cone_factor=cone, samples=1, seed=3)
+    n, s, cone = 12, 2, metrics.RE_CONE_FACTOR
+    est = restricted_eigenvalue_estimate(X, s=s, samples=1, seed=3)
     # recompute the one evaluated ratio with the same per-sample seed schedule
     orng = np.random.default_rng(np.random.SeedSequence((3, 0)))
     head = orng.standard_normal(s)
@@ -232,7 +232,7 @@ def sparse_eigenvalue_loop(X, k, budget=50_000, samples=2000, seed=0):
     return best * scale, "sampled", samples
 
 
-def restricted_eigenvalue_loop(X, s, cone_factor=7.0, samples=1000, seed=0):
+def restricted_eigenvalue_loop(X, s, samples=1000, seed=0):
     n, p = X.shape
     scale = 1.0 / math.sqrt(n)
     best = math.inf
@@ -243,7 +243,7 @@ def restricted_eigenvalue_loop(X, s, cone_factor=7.0, samples=1000, seed=0):
         l1_head = np.abs(head).sum()
         l1_tail = np.abs(tail).sum()
         if l1_tail > 0.0:
-            tail = tail * (cone_factor * l1_head / l1_tail)
+            tail = tail * (metrics.RE_CONE_FACTOR * l1_head / l1_tail)
         delta = np.concatenate([head, tail])
         order = np.argsort(-np.abs(tail), kind="stable")
         top = tail[order[:s]]

@@ -89,7 +89,9 @@ def test_cv_lasso_start_is_the_lasso_at_the_cv_level():
     want = fit_lasso(RegressionProblem(Xs, y), float(grid[sel.chosen_index])).beta
     # the concave penalty of the problem plays no part
     prob = RegressionProblem(Xs, y, PenaltySpec("hard", 0.3, lambda0=0.1))
-    assert np.array_equal(cv_lasso_start(prob, grid, 4, 3), want)
+    start, start_sel = cv_lasso_start(prob, grid, 4, 3)
+    assert np.array_equal(start.beta, want) and start.converged
+    assert start_sel.chosen_index == sel.chosen_index
 
 
 def test_config_validation():

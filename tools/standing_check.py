@@ -1,0 +1,113 @@
+"""Digests of the outputs a change that does not move output must keep.
+
+    python3 tools/standing_check.py
+
+Run it on two checkouts (say a commit and its parent) and compare the
+printed lines; the package is imported from the ``src/`` next to this file.
+
+It prints two kinds of digest:
+
+* the standing study hashes: sha256 of ``repr(run_study(SimConfig(n=80,
+  p=200, reps=2, seed=s, methods=...), threads=2).rows)`` for the four
+  standing seeds, with all six methods;
+* one sha256 over a fixed ``l1concave path`` sweep: 10 AR(1) designs
+  (n = 60, p = 120, rho = 0.5, sigma = 0.3, drawn here with numpy), the
+  kinds l1, hard, scad and sica, the flag sets none, ``--cv``, ``--c 0.25``
+  and ``--c 0.25 --cv``, at ``--grid-size 20``. Each run contributes its
+  arguments, exit code, standard output (with the output path replaced by
+  a fixed token) and the bytes of the CSV it wrote. Standard error is not
+  part of the digest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from l1concave import cli  # noqa: E402
+from l1concave.simulate import SimConfig, run_study  # noqa: E402
+
+STUDY_SEEDS = (20240817, 20240818, 1, 2024)
+STUDY_METHODS = ("lasso", "l1_scad", "l1_hard", "l1_sica", "l1_mcp", "oracle")
+SWEEP_DESIGNS = 10
+SWEEP_N, SWEEP_P, SWEEP_RHO, SWEEP_SIGMA = 60, 120, 0.5, 0.3
+SWEEP_BETA = (1.0, -0.5, 0.7, -1.2, -0.9, 0.3, 0.55)
+SWEEP_KINDS = ("l1", "hard", "scad", "sica")
+SWEEP_FLAGS = ((), ("--cv",), ("--c", "0.25"), ("--c", "0.25", "--cv"))
+
+
+def study_hash(seed: int) -> str:
+    cfg = SimConfig(n=80, p=200, reps=2, seed=seed, methods=STUDY_METHODS)
+    return hashlib.sha256(repr(run_study(cfg, threads=2).rows).encode()).hexdigest()
+
+
+def ar1_design(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((SWEEP_N, SWEEP_P))
+    X = np.empty_like(Z)
+    X[:, 0] = Z[:, 0]
+    c = math.sqrt(1.0 - SWEEP_RHO ** 2)
+    for j in range(1, SWEEP_P):
+        X[:, j] = SWEEP_RHO * X[:, j - 1] + c * Z[:, j]
+    beta0 = np.zeros(SWEEP_P)
+    beta0[: len(SWEEP_BETA)] = SWEEP_BETA
+    return X, X @ beta0 + SWEEP_SIGMA * rng.standard_normal(SWEEP_N)
+
+
+def write_csv(path: str, header: list[str], rows: np.ndarray):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".17g") for v in np.atleast_1d(row)) + "\n")
+
+
+def sweep_digest(workdir: str) -> tuple[str, int]:
+    digest, runs = hashlib.sha256(), 0
+    out = os.path.join(workdir, "path.csv")
+    for d in range(SWEEP_DESIGNS):
+        X, y = ar1_design(d)
+        design, response = os.path.join(workdir, "X.csv"), os.path.join(workdir, "y.csv")
+        write_csv(design, [f"x{j}" for j in range(SWEEP_P)], X)
+        write_csv(response, ["y"], y)
+        for kind in SWEEP_KINDS:
+            for flags in SWEEP_FLAGS:
+                argv = ["path", design, response, "--penalty", kind, *flags,
+                        "--grid-size", "20", "--out", out]
+                if os.path.exists(out):
+                    os.remove(out)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli.main(argv)
+                csv_bytes = b""
+                if os.path.exists(out):
+                    with open(out, "rb") as fh:
+                        csv_bytes = fh.read()
+                tag = f"design {d} {kind} {' '.join(flags)}\nexit {rc}\n"
+                for part in (tag, stdout.getvalue().replace(out, "OUT")):
+                    digest.update(part.encode())
+                digest.update(csv_bytes)
+                runs += 1
+    return digest.hexdigest(), runs
+
+
+def main() -> int:
+    for seed in STUDY_SEEDS:
+        print(f"study seed {seed}: {study_hash(seed)}", flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        digest, runs = sweep_digest(workdir)
+    print(f"cli path sweep ({runs} runs): {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
