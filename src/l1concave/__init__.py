@@ -19,7 +19,7 @@ from .simulate import (SimConfig, StudyReport, combined_lambda_grid, cv_lasso_st
                        write_report_csv)
 from .solver import (CertificateReport, DegenerateColumnError, FitResult,
                      PathResult, RegressionProblem, center, default_lambda_grid,
-                     fit_combined, fit_lasso, fit_path, objective_value, refit_ls,
+                     fit_combined, fit_path, objective_value, refit_ls,
                      standardize, computable_certificate, universal_lambda0)
 from .tuning import SelectionResult, bic_select, cv_select
 

@@ -118,8 +118,7 @@ def cmd_fit(args) -> int:
     prob, scales, offsets = _load_problem(args)
     n, p = prob.shape
     spec = _penalty_from_args(args, n, p, args.lam)
-    prob.penalty = spec
-    fit = fit_combined(prob, tol=args.tol, max_iter=args.max_iter)
+    fit = fit_combined(prob, spec, tol=args.tol, max_iter=args.max_iter)
     cert = computable_certificate(fit, s_hat=fit.nnz)  # true s unknown: sparsity not reported
     beta_orig = scales * fit.beta
     _write_csv(args.out, ["index", "beta", "beta_std"],
@@ -176,7 +175,6 @@ def cmd_path(args) -> int:
     prob, scales, _ = _load_problem(args)
     n, p = prob.shape
     spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
-    prob.penalty = spec
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
     else:
@@ -189,12 +187,13 @@ def cmd_path(args) -> int:
     start, start_sel = cv_lasso_start(prob, default_lambda_grid(prob.X, prob.y), args.folds,
                                       args.seed, args.tol, args.max_iter)
     _warn_cv("the lasso start's CV", start_sel, start.converged)
-    path = solver.fit_path(prob, grid, tol=args.tol, max_iter=args.max_iter, init=start.beta)
+    path = solver.fit_path(prob, spec, grid, init=start.beta, tol=args.tol,
+                           max_iter=args.max_iter)
     bic = bic_select(path, prob)
     sel = bic
     if args.cv:
-        sel = cv_select(prob, grid, folds=args.folds, seed=args.seed,
-                        tol=args.tol, max_iter=args.max_iter)
+        sel = cv_select(prob, spec, grid, args.folds, seed=args.seed, tol=args.tol,
+                        max_iter=args.max_iter)
         _warn_cv("the --cv selection", sel)
     rows = []
     for k, fit in enumerate(path.fits):
@@ -256,10 +255,12 @@ def _config_to_simconfig(conf: dict) -> SimConfig:
             raise CLIError(f"config is missing required key {key!r}")
     if "methods" in conf:
         kwargs["methods"] = tuple(m.strip() for m in conf["methods"].split(",") if m.strip())
-    if "beta0" in conf:
-        kwargs["beta0"] = np.array([float(v) for v in conf["beta0"].split(",")])
-    if "c_grid" in conf:
-        kwargs["c_grid"] = tuple(float(v) for v in conf["c_grid"].split(","))
+    for key in ("beta0", "c_grid"):
+        if key in conf:
+            try:
+                kwargs[key] = tuple(float(v) for v in conf[key].split(","))
+            except ValueError:
+                raise CLIError(f"bad value for {key}: {conf[key]!r}") from None
     return SimConfig(**kwargs)
 
 

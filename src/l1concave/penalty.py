@@ -60,19 +60,19 @@ class PenaltySpec:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "lambda0", float(self.lambda0))
-        if not (self.lam >= 0.0) or not (self.lambda0 >= 0.0):
-            raise ValueError("lam and lambda0 must be nonnegative")
+        if not 0.0 <= self.lam < math.inf or not 0.0 <= self.lambda0 < math.inf:
+            raise ValueError("lam and lambda0 must be finite and nonnegative")
         a = self.shape
         if a is None or (isinstance(a, float) and math.isnan(a)):
             a = DEFAULT_SHAPE.get(self.kind, math.nan)
         a = float(a) if a is not None else math.nan
         object.__setattr__(self, "shape", a)
-        if self.kind == "scad" and not a > 2.0:
-            raise ValueError("scad requires shape > 2")
-        if self.kind == "mcp" and not a > 1.0:
-            raise ValueError("mcp requires shape > 1")
-        if self.kind == "sica" and not a > 0.0:
-            raise ValueError("sica requires shape > 0")
+        if self.kind == "scad" and not 2.0 < a < math.inf:
+            raise ValueError("scad requires a finite shape > 2")
+        if self.kind == "mcp" and not 1.0 < a < math.inf:
+            raise ValueError("mcp requires a finite shape > 1")
+        if self.kind == "sica" and not 0.0 < a < math.inf:
+            raise ValueError("sica requires a finite shape > 0")
 
 
 @dataclass(frozen=True)

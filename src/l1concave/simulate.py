@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .metrics import (_prediction_error, ar1_covariance, false_signs, fp_fn, lq_
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
 from .solver import (FitResult, RegressionProblem, _check_settings, computable_certificate,
-                     default_lambda_grid, fit_lasso, fit_path, level_grid, refit_ls,
+                     default_lambda_grid, fit_combined, fit_path, level_grid, refit_ls,
                      standardize, universal_lambda0)
 from .tuning import SelectionResult, bic_select, cv_select
 
@@ -81,13 +81,13 @@ class SimConfig:
             raise ValueError("reps must be at least 1")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.beta0 is None:
             self.beta0 = study_beta0(self.p)
         self.beta0 = np.asarray(self.beta0, dtype=float).ravel()
-        if self.beta0.size != self.p:
-            raise ValueError("beta0 must have length p")
+        if self.beta0.size != self.p or not np.all(np.isfinite(self.beta0)):
+            raise ValueError("beta0 must have length p and finite entries")
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("methods list is empty")
@@ -95,8 +95,8 @@ class SimConfig:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {KNOWN_METHODS}")
         self.c_grid = tuple(self.c_grid)
-        if not self.c_grid or not all(c >= 0.0 for c in self.c_grid):
-            raise ValueError("c_grid must be a nonempty list of nonnegative constants")
+        if not self.c_grid or not all(0.0 <= c < math.inf for c in self.c_grid):
+            raise ValueError("c_grid must be a nonempty list of finite nonnegative constants")
         if self.grid_size < 1:
             raise ValueError("grid_size must be at least 1")
         if not 0.0 < self.grid_ratio < 1.0:
@@ -157,10 +157,11 @@ def combined_lambda_grid(spec: PenaltySpec, lasso_grid) -> np.ndarray:
 def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: float = 1e-7,
                    max_iter: int = 1000) -> tuple[FitResult, SelectionResult]:
     """The lasso fitted at the level of cv_grid that cv_select picks, with that
-    selection: the start of `l1concave path`. Ignores prob.penalty."""
-    sel = cv_select(RegressionProblem(prob.X, prob.y, PenaltySpec("l1", 0.0, 0.0)), cv_grid,
-                    folds=folds, seed=seed, tol=tol, max_iter=max_iter)
-    return fit_lasso(prob, float(cv_grid[sel.chosen_index]), tol=tol, max_iter=max_iter), sel
+    selection: the start of `l1concave path`."""
+    sel = cv_select(prob, PenaltySpec("l1", 0.0), cv_grid, folds=folds, seed=seed, tol=tol,
+                    max_iter=max_iter)
+    lasso = PenaltySpec("l1", float(cv_grid[sel.chosen_index]))
+    return fit_combined(prob, lasso, tol=tol, max_iter=max_iter), sel
 
 
 def _row(cfg, r, method, beta_orig, Sigma0, fit=None, lam0=math.nan, c=math.nan,
@@ -212,8 +213,8 @@ def _replicate_rows(cfg: SimConfig, r: int) -> list[dict]:
     def bic_fit(spec):
         """The BIC choice on the path over spec's levels, and its BIC. The path starts
         from zero, an exact fit where the zero threshold is spec.lambda0 + lambda_max."""
-        path = fit_path(replace(prob, penalty=spec), combined_lambda_grid(spec, lasso_grid),
-                        tol=cfg.tol, max_iter=cfg.max_iter)
+        path = fit_path(prob, spec, combined_lambda_grid(spec, lasso_grid), tol=cfg.tol,
+                        max_iter=cfg.max_iter)
         sel = bic_select(path, prob)
         return path.fits[sel.chosen_index], float(sel.criterion_values[sel.chosen_index])
 

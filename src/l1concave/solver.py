@@ -56,7 +56,7 @@ class DegenerateColumnError(ValueError):
 
 @dataclass
 class RegressionProblem:
-    """Design, response, and penalty configuration for one fit.
+    """Design and response for one fit; the fitters take the penalty as an argument.
 
     X may have any column scale; the fitters require every column to have
     L2-norm sqrt(n) (the output of standardize()), so that all coordinates
@@ -65,7 +65,6 @@ class RegressionProblem:
 
     X: np.ndarray
     y: np.ndarray
-    penalty: PenaltySpec | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -230,8 +229,9 @@ def _certificate(Xf, y, beta, prox, zero_zone, tol):
 
 
 def _check_settings(tol, max_iter):
-    if not tol > 0.0 or max_iter < 1:
-        raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol} and max_iter={max_iter}")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ValueError(f"need finite tol > 0 and max_iter >= 1, got tol={tol} and "
+                         f"max_iter={max_iter}")
 
 
 def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
@@ -340,49 +340,36 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
     )
 
 
-def fit_lasso(prob: RegressionProblem, lam: float, tol: float = 1e-7,
-              max_iter: int = 1000, init=None) -> FitResult:
-    """Cyclic coordinate descent with soft thresholding at level lam."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return _cd_fit(_design(prob.X), prob.y, PenaltySpec("l1", lam), init, tol, max_iter)
-
-
-def fit_combined(prob: RegressionProblem, init=None, tol: float = 1e-7,
+def fit_combined(prob: RegressionProblem, spec: PenaltySpec, *, init=None, tol: float = 1e-7,
                  max_iter: int = 1000) -> FitResult:
     """Cyclic coordinate descent where every update is the exact scalar global
-    minimizer for the combined penalty in prob.penalty."""
-    if prob.penalty is None:
-        raise ValueError("prob.penalty is required")
-    return _cd_fit(_design(prob.X), prob.y, prob.penalty, init, tol, max_iter)
+    minimizer for the combined penalty spec; the lasso is spec = PenaltySpec("l1", lam)."""
+    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter)
 
 
-def fit_path(prob: RegressionProblem, lambda_grid, tol: float = 1e-7, max_iter: int = 1000,
-             init=None) -> PathResult:
+def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=None,
+             tol: float = 1e-7, max_iter: int = 1000) -> PathResult:
     """Warm-started fits along a strictly decreasing concave-level grid.
 
-    Every fit uses prob.penalty with its level lam replaced by the grid
-    value; lambda0 and the shape come from prob.penalty. The first fit
-    starts from init (zero when None), each later one from the fit before.
-    Per-fit nonconvergence is recorded in the fit flags; the path never
-    aborts.
+    Every fit uses spec with its level lam replaced by the grid value;
+    lambda0 and the shape come from spec. The first fit starts from init
+    (zero when None), each later one from the fit before. Per-fit
+    nonconvergence is recorded in the fit flags; the path never aborts.
     """
-    if prob.penalty is None:
-        raise ValueError("prob.penalty is required")
     grid = level_grid(lambda_grid)
     fits: list[FitResult] = []
     design = _design(prob.X)
     beta = init
     for lam in grid:
-        fit = _cd_fit(design, prob.y, replace(prob.penalty, lam=float(lam)), beta, tol,
-                      max_iter)
+        fit = _cd_fit(design, prob.y, replace(spec, lam=float(lam)), beta, tol, max_iter)
         fits.append(fit)
         beta = fit.beta
     return PathResult(lambdas=grid, fits=fits)
 
 
-def lasso_homotopy(X, y, levels, tol: float = 1e-7, max_iter: int = 1000) -> list[np.ndarray]:
-    """Lasso solutions on a standardized X at strictly decreasing L1 levels, by homotopy.
+def lasso_homotopy(prob: RegressionProblem, levels, *, tol: float = 1e-7,
+                   max_iter: int = 1000) -> list[np.ndarray]:
+    """Lasso solutions on prob's standardized X at strictly decreasing L1 levels, by homotopy.
 
     The lasso solution is piecewise linear in its level (Osborne, Presnell &
     Turlach 2000; the LARS-lasso of Efron et al. 2004). From lambda_max =
@@ -403,8 +390,7 @@ def lasso_homotopy(X, y, levels, tol: float = 1e-7, max_iter: int = 1000) -> lis
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
     levels = level_grid(levels)
-    Xf = _design(np.asarray(X, dtype=float))[0]
-    y = np.asarray(y, dtype=float).ravel()
+    Xf, y = _design(prob.X)[0], prob.y
     n, p = Xf.shape
     c0 = Xf.T @ y / n
     GA = np.empty((p, min(n, p)), order="F")  # column i is X'x_j/n for j = act[i]

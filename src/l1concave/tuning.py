@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .penalty import PenaltySpec
 from .solver import (DegenerateColumnError, PathResult, RegressionProblem, fit_path,
                      lasso_homotopy, level_grid, standardize)
 
@@ -25,8 +26,6 @@ class SelectionResult:
 
     chosen_index: int
     criterion_values: np.ndarray
-    criterion: str
-    cv_folds: int | None = None
     fold_warnings: int = 0
     floored: tuple[int, ...] = ()
     cd_levels: int = 0
@@ -55,7 +54,6 @@ def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
     return SelectionResult(
         chosen_index=int(np.argmin(vals)),
         criterion_values=vals,
-        criterion="bic",
         floored=tuple(floored),
     )
 
@@ -66,29 +64,28 @@ def fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:
     return rng.permutation(n) % folds
 
 
-def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
-              tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
-    """K-fold cross-validation over the concave-level grid for prob's penalty.
+def cv_select(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, folds: int, *,
+              seed: int = 0, tol: float = 1e-7, max_iter: int = 1000) -> SelectionResult:
+    """K-fold cross-validation of spec over its concave-level grid.
 
-    Each fold's training rows are re-standardized, fitted along the grid and
-    scored on the held-out rows in the original column scale; the criterion
-    per grid point is the mean held-out squared error pooled over folds. An
-    l1 penalty's fold levels lambda0 + grid, when strictly decreasing, come
-    from lasso_homotopy, exact and certified; the levels it cannot certify,
-    and every level otherwise, come from fit_path, warm-started from the
-    last certified fit or from zero. The folds are fold_assignment(n, folds,
+    Each fold's training rows are re-standardized, fitted along the grid
+    (fit_path's levels, with lambda0 and the shape from spec) and scored on
+    the held-out rows in the original column scale; the criterion per grid
+    point is the mean held-out squared error pooled over folds. An l1
+    spec's fold levels lambda0 + grid, when strictly decreasing, come from
+    lasso_homotopy, exact and certified; the levels it cannot certify, and
+    every level otherwise, come from fit_path, warm-started from the last
+    certified fit or from zero. The folds are fold_assignment(n, folds,
     seed), each fold's rows taken in input order. Folds whose training design
     has a zero column are skipped and counted in fold_warnings.
     """
-    if prob.penalty is None:
-        raise ValueError("prob.penalty is required")
     grid = level_grid(lambda_grid)
     n = len(prob.y)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must lie in [2, n] = [2, {n}], got {folds}")
     assignment = fold_assignment(n, folds, seed)  # every fold is a nonempty proper subset
-    levels = prob.penalty.lambda0 + grid
-    homotopy = prob.penalty.kind == "l1" and np.all(np.diff(levels) < 0.0)
+    levels = spec.lambda0 + grid
+    homotopy = spec.kind == "l1" and np.all(np.diff(levels) < 0.0)
     sq_err = np.zeros(grid.size)
     n_scored = 0
     warnings = cd_levels = nonconverged = 0
@@ -99,11 +96,11 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
         except DegenerateColumnError:
             warnings += 1
             continue
-        ytr, Xte, yte = prob.y[~te], prob.X[te], prob.y[te]
-        betas = lasso_homotopy(Xtr_s, ytr, levels, tol, max_iter) if homotopy else []
+        train, Xte, yte = RegressionProblem(Xtr_s, prob.y[~te]), prob.X[te], prob.y[te]
+        betas = lasso_homotopy(train, levels, tol=tol, max_iter=max_iter) if homotopy else []
         if len(betas) < grid.size:
-            path = fit_path(RegressionProblem(Xtr_s, ytr, prob.penalty), grid[len(betas):],
-                            tol=tol, max_iter=max_iter, init=betas[-1] if betas else None)
+            path = fit_path(train, spec, grid[len(betas):], init=betas[-1] if betas else None,
+                            tol=tol, max_iter=max_iter)
             betas += [fit.beta for fit in path.fits]
             cd_levels += len(path.fits)
             nonconverged += sum(not fit.converged for fit in path.fits)
@@ -118,8 +115,6 @@ def cv_select(prob: RegressionProblem, lambda_grid, folds: int, seed: int = 0,
     return SelectionResult(
         chosen_index=int(np.argmin(vals)),
         criterion_values=vals,
-        criterion="cv",
-        cv_folds=folds,
         fold_warnings=warnings,
         cd_levels=cd_levels,
         nonconverged=nonconverged,

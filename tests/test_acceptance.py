@@ -17,8 +17,7 @@ from l1concave.penalty import PenaltySpec, check_shape_conditions
 from l1concave.scalar_prox import prox_combined, prox_oracle
 from l1concave.simulate import SimConfig, gen_design, run_study
 from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined,
-                              fit_lasso, fit_path, refit_ls, standardize,
-                              universal_lambda0)
+                              fit_path, refit_ls, standardize, universal_lambda0)
 from l1concave.tuning import bic_select
 
 S_TRUE = 7  # nonzeros in the study coefficient vector
@@ -97,7 +96,7 @@ def test_c03_hard_thresholding_feature_on_fits():
             beta0[:4] = rng.uniform(2.5, 3.5, size=4) * rng.choice([-1.0, 1.0], size=4)
             y = X @ beta0 + 0.3 * rng.standard_normal(n)
             Xs, _ = standardize(X)
-            fit = fit_combined(RegressionProblem(Xs, y, spec))
+            fit = fit_combined(RegressionProblem(Xs, y), spec)
             nz = fit.beta[fit.beta != 0.0]
             nonzeros += nz.size
             violations += int(np.sum(np.abs(nz) <= floor))
@@ -117,7 +116,7 @@ def test_c04_orthogonal_design_solver_oracle():
     z = X.T @ y / n
 
     spec_h = PenaltySpec("hard", 0.35, lambda0=0.15)
-    fit_h = fit_combined(RegressionProblem(X, y, spec_h))
+    fit_h = fit_combined(RegressionProblem(X, y), spec_h)
     closed = np.where(np.abs(z) > spec_h.lam + spec_h.lambda0,
                       np.sign(z) * (np.abs(z) - spec_h.lambda0), 0.0)
     dev_h = float(np.max(np.abs(fit_h.beta - closed)))
@@ -125,7 +124,7 @@ def test_c04_orthogonal_design_solver_oracle():
     devs = {"hard": dev_h}
     for kind in ("scad", "sica"):
         spec = PenaltySpec(kind, 0.3, lambda0=0.1)
-        fit = fit_combined(RegressionProblem(X, y, spec))
+        fit = fit_combined(RegressionProblem(X, y), spec)
         oracle = np.array([prox_oracle(float(zj), spec) for zj in z])
         devs[kind] = float(np.max(np.abs(fit.beta - oracle)))
     ok = devs["hard"] <= 1e-8 and devs["scad"] <= 1e-5 and devs["sica"] <= 1e-5
@@ -148,7 +147,7 @@ def test_c05_objective_monotonicity():
             y = X @ beta0 + 0.4 * rng.standard_normal(n)
             Xs, _ = standardize(X)
             spec = PenaltySpec(kind, rng.uniform(0.1, 0.4), lambda0=rng.uniform(0.02, 0.2))
-            fit = fit_combined(RegressionProblem(Xs, y, spec))
+            fit = fit_combined(RegressionProblem(Xs, y), spec)
             objs = fit.sweep_objectives
             sweeps += len(objs) - 1
             rel = np.diff(objs) / np.maximum(1.0, np.abs(objs[:-1]))
@@ -172,9 +171,9 @@ def test_c06_lambda_zero_reduces_to_lasso():
         Xs, _ = standardize(X)
         lam0 = rng.uniform(0.05, 0.3)
         spec = PenaltySpec(kinds[i % len(kinds)], 0.0, lambda0=lam0)
-        prob = RegressionProblem(Xs, y, spec)
-        combined = fit_combined(prob, tol=1e-9, max_iter=5000)
-        lasso = fit_lasso(prob, lam0, tol=1e-9, max_iter=5000)
+        prob = RegressionProblem(Xs, y)
+        combined = fit_combined(prob, spec, tol=1e-9, max_iter=5000)
+        lasso = fit_combined(prob, PenaltySpec("l1", lam0), tol=1e-9, max_iter=5000)
         worst = max(worst, float(np.max(np.abs(combined.beta - lasso.beta))))
     ok = worst <= 1e-6
     report("C06", ok, f"lam=0 reduction on 20 instances: max coordinate dev {worst:.2e}")
@@ -196,9 +195,9 @@ def test_c07_refit_equals_oracle_when_support_recovered():
         Xs, scales = standardize(X)
         lam0 = universal_lambda0(n, p, 0.25)
         spec = PenaltySpec("hard", 0.2, lambda0=lam0)
-        prob = RegressionProblem(Xs, y, spec)
+        prob = RegressionProblem(Xs, y)
         grid = default_lambda_grid(Xs, y, 25, 0.05)
-        path = fit_path(prob, grid, init=fit_lasso(prob, 2 * lam0).beta)
+        path = fit_path(prob, spec, grid, init=fit_combined(prob, PenaltySpec("l1", 2 * lam0)).beta)
         fit = path.fits[bic_select(path, prob).chosen_index]
         beta_orig = scales * fit.beta
         if (np.sign(beta_orig) == np.sign(beta0)).all():

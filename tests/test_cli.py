@@ -163,9 +163,10 @@ def test_path_single_and_marker(tmp_path):
     selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
     # cross-check the marker against the library selection on the study's grid
     Xs, _ = standardize(X)
-    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("hard", 0.1, lambda0=0.05))
-    grid = combined_lambda_grid(prob.penalty, default_lambda_grid(Xs, y, 8, 0.05))
-    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 10)[0].beta)
+    prob, spec = RegressionProblem(Xs, y), PenaltySpec("hard", 0.1, lambda0=0.05)
+    grid = combined_lambda_grid(spec, default_lambda_grid(Xs, y, 8, 0.05))
+    start = cv_lasso_start(prob, default_lambda_grid(Xs, y), 10)[0].beta
+    path = fit_path(prob, spec, grid, init=start)
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
 
@@ -179,10 +180,11 @@ def test_path_cv_marks_cv_choice(tmp_path, capsys):
     header, rows = read_rows(out)
     selected = [k for k, r in enumerate(rows) if r[header.index("selected")] == "1"]
     Xs, _ = standardize(X)
-    prob = RegressionProblem(Xs, y, penalty=PenaltySpec("scad", 0.1, lambda0=0.05))
+    prob, spec = RegressionProblem(Xs, y), PenaltySpec("scad", 0.1, lambda0=0.05)
     grid = [float(r[header.index("lambda")]) for r in rows]
-    assert selected == [cv_select(prob, grid, folds=3, seed=0).chosen_index]
-    path = fit_path(prob, grid, init=cv_lasso_start(prob, default_lambda_grid(Xs, y), 3)[0].beta)
+    assert selected == [cv_select(prob, spec, grid, 3, seed=0).chosen_index]
+    start = cv_lasso_start(prob, default_lambda_grid(Xs, y), 3)[0].beta
+    path = fit_path(prob, spec, grid, init=start)
     assert [float(r[header.index("kkt_inf")]) for r in rows] == [f.kkt_inf for f in path.fits]
     assert [int(r[header.index("nnz")]) for r in rows] == [f.nnz for f in path.fits]
 
@@ -267,6 +269,9 @@ def test_path_bad_grid_flag_is_named(tmp_path, capsys, flags, flag):
     ("path", ["--grid-size", "0"]), ("path", ["--grid-ratio", "2"]),
     ("path", ["--grid-ratio", "1"]),
     ("fit", ["--tol", "0"]), ("fit", ["--max-iter", "0"]), ("path", ["--tol", "-1"]),
+    ("fit", ["--lambda0", "inf"]), ("fit", ["--c", "inf"]), ("fit", ["--lambda", "inf"]),
+    ("fit", ["--penalty", "scad", "--shape", "inf"]), ("fit", ["--tol", "inf"]),
+    ("path", ["--lambdas", "inf,1"]),
 ])
 def test_bad_solver_setting_exits_1_without_output(tmp_path, capsys, command, flags):
     dpath, rpath, _, _ = make_data(tmp_path)
@@ -298,6 +303,8 @@ STUDY_BODY = "n = 24\np = 10\nreps = 2\nseed = 11\nmethods = lasso, oracle\ngrid
     ("c_grid = -1", []), ("c_grid = 0.5, x", []), ("cv_folds = 3", []), ("rho = 1", []),
     ("grid_size = 0", []), ("grid_ratio = 1", []), ("tol = -1", []), ("max_iter = 0", []),
     ("test_mode = sampled", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
+    ("sigma = nan", []), ("sigma = inf", []), ("c_grid = inf", []),
+    ("beta0 = " + "1, " * 9 + "inf", []),
 ])
 def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, flags):
     cfg = tmp_path / "study.cfg"
@@ -308,7 +315,8 @@ def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, fla
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
     assert not report.exists() and not raw.exists()
-    key = setting.split(" = ")[0]
+    key = setting.split(" = ")[0] or flags[0].lstrip("-")
+    assert key in err
     if key in ("test_mode", "cv_folds"):  # a key of an older config fails loudly
         assert f"unknown key '{key}'" in err
 

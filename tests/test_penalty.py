@@ -160,6 +160,13 @@ def test_spec_validation():
         PenaltySpec("hard", -0.1)
     with pytest.raises(ValueError):
         PenaltySpec("huber", 0.1)
+    for bad in (dict(lam=math.inf), dict(lam=math.nan), dict(lam=0.1, lambda0=math.inf),
+                dict(lam=0.1, lambda0=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltySpec("hard", **bad)
+    for kind in ("scad", "mcp", "sica"):
+        with pytest.raises(ValueError, match="finite shape"):
+            PenaltySpec(kind, 0.5, shape=math.inf)
     assert PenaltySpec("scad", 0.5).shape == 3.7
     assert PenaltySpec("mcp", 0.5).shape == 3.0
     assert PenaltySpec("sica", 0.5).shape == 0.1

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from l1concave import scalar_prox
 from l1concave.penalty import KINDS, PenaltySpec
 from l1concave.simulate import DEFAULT_C_GRID, combined_lambda_grid, gen_design, study_beta0
-from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_lasso,
-                              fit_path, standardize, universal_lambda0)
+from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_path,
+                              standardize, universal_lambda0)
 
 SHAPES = {"scad": (2.1, 5.0), "mcp": (1.1, 4.0), "sica": (0.05, 2.0)}
 
@@ -28,8 +28,9 @@ SMALL = settings(max_examples=25, deadline=None)
 
 @st.composite
 def problems(draw, wide=False):
-    """A standardized problem with n <= 30 and a penalty of any kind; p <= 12,
-    or n < p <= 60 with about five nonzero true coefficients when wide."""
+    """A standardized problem with n <= 30 and a penalty of any kind, as (prob,
+    spec); p <= 12, or n < p <= 60 with about five nonzero true coefficients
+    when wide."""
     n = draw(st.integers(5, 30))
     p = draw(st.integers(n + 1, 60) if wide else st.integers(1, 12))
     kind = draw(st.sampled_from(KINDS))
@@ -41,7 +42,7 @@ def problems(draw, wide=False):
     X, _ = standardize(rng.standard_normal((n, p)))
     beta0 = rng.standard_normal(p) * (rng.random(p) < (5.0 / p if wide else 0.5))
     y = X @ beta0 + 0.5 * rng.standard_normal(n)
-    return RegressionProblem(X, y, penalty=spec)
+    return RegressionProblem(X, y), spec
 
 
 def assert_same_fit(a, b, sign=1.0):
@@ -52,20 +53,22 @@ def assert_same_fit(a, b, sign=1.0):
 
 @SMALL
 @given(problems())
-def test_negating_y_negates_beta(prob):
-    fit = fit_combined(prob)
-    flipped = fit_combined(replace(prob, y=-prob.y))
+def test_negating_y_negates_beta(case):
+    prob, spec = case
+    fit = fit_combined(prob, spec)
+    flipped = fit_combined(replace(prob, y=-prob.y), spec)
     assert_same_fit(flipped, fit, sign=-1.0)
 
 
 @SMALL
 @given(problems(), st.data())
-def test_negating_a_column_negates_its_coefficient(prob, data):
+def test_negating_a_column_negates_its_coefficient(case, data):
+    prob, spec = case
     j = data.draw(st.integers(0, prob.X.shape[1] - 1))
     X = prob.X.copy()
     X[:, j] = -X[:, j]
-    fit = fit_combined(prob)
-    flipped = fit_combined(replace(prob, X=X))
+    fit = fit_combined(prob, spec)
+    flipped = fit_combined(replace(prob, X=X), spec)
     sign = np.ones(X.shape[1])
     sign[j] = -1.0
     assert_same_fit(flipped, fit, sign=sign)
@@ -73,12 +76,13 @@ def test_negating_a_column_negates_its_coefficient(prob, data):
 
 @SMALL
 @given(problems(), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True))
-def test_path_fit_equals_fit_combined(prob, levels):
+def test_path_fit_equals_fit_combined(case, levels):
+    prob, spec = case
     grid = sorted(levels, reverse=True)
     init = np.zeros(prob.X.shape[1])
-    path = fit_path(prob, grid, init=init)
+    path = fit_path(prob, spec, grid, init=init)
     for lam, fit in zip(grid, path.fits):
-        direct = fit_combined(replace(prob, penalty=replace(prob.penalty, lam=lam)), init=init)
+        direct = fit_combined(prob, replace(spec, lam=lam), init=init)
         assert_same_fit(fit, direct)
         init = fit.beta
 
@@ -140,11 +144,11 @@ def assert_same_as_unscreened(fit, prob, spec, init):
 
 @SMALL
 @given(problems(wide=True))
-def test_screened_fits_equal_unscreened_engine(prob):
-    spec = prob.penalty
-    lasso = fit_lasso(prob, spec.lambda0 + spec.lam)
+def test_screened_fits_equal_unscreened_engine(case):
+    prob, spec = case
+    lasso = fit_combined(prob, PenaltySpec("l1", spec.lambda0 + spec.lam))
     assert_same_as_unscreened(lasso, prob, PenaltySpec("l1", 0.0, spec.lambda0 + spec.lam), None)
-    fit = fit_combined(prob, init=lasso.beta)
+    fit = fit_combined(prob, spec, init=lasso.beta)
     assert_same_as_unscreened(fit, prob, spec, lasso.beta)
 
 
@@ -154,7 +158,7 @@ def test_screened_sica_path_equals_unscreened_engine(monkeypatch):
     y = X @ study_beta0(p) + 0.25 * np.random.default_rng(7).standard_normal(n)
     lam0 = universal_lambda0(n, p, 0.25)
     spec = PenaltySpec("sica", 0.0, lambda0=lam0, shape=0.1)
-    prob = RegressionProblem(X, y, penalty=spec)
+    prob = RegressionProblem(X, y)
     lam_max = float(np.max(np.abs(X.T @ y)) / n)
     grid = combined_lambda_grid(spec, default_lambda_grid(X, y, 15, 0.05))
 
@@ -169,9 +173,9 @@ def test_screened_sica_path_equals_unscreened_engine(monkeypatch):
             return prox(z)
         return counted
 
-    init = fit_lasso(prob, 0.2 * lam_max).beta
+    init = fit_combined(prob, PenaltySpec("l1", 0.2 * lam_max)).beta
     monkeypatch.setattr(scalar_prox, "make_prox", counting_make_prox)
-    path = fit_path(prob, grid, init=init)
+    path = fit_path(prob, spec, grid, init=init)
     screened_calls, calls[0] = calls[0], 0
     for lam, fit in zip(grid, path.fits):
         assert fit.coordinatewise_global
@@ -190,8 +194,8 @@ def test_screen_accounts_for_changes_earlier_in_the_sweep(kind):
     X = np.column_stack([(h2 - h1) / math.sqrt(2), (h3 - h2) / math.sqrt(2), h1])
     y = 2.0 * h1 + 2.5 * h2 + (2.5 + 0.3 * math.sqrt(2)) * h3
     spec = PenaltySpec(kind, 0.3, lambda0=0.2) if kind != "l1" else PenaltySpec("l1", 0.0, 0.5)
-    prob = RegressionProblem(X, y, penalty=spec)
-    fit = fit_combined(prob) if kind != "l1" else fit_lasso(prob, 0.5)
+    prob = RegressionProblem(X, y)
+    fit = fit_combined(prob, spec if kind != "l1" else PenaltySpec("l1", 0.5))
     assert_same_as_unscreened(fit, prob, spec, None)
 
 
@@ -210,16 +214,18 @@ def test_screen_guards_against_rounding_at_a_tiny_threshold():
         init = np.linalg.lstsq(X, y, rcond=None)[0]
         init[0] = 0.0
         prob = RegressionProblem(X, y)
-        fit = fit_lasso(prob, lam, init=init)
+        fit = fit_combined(prob, PenaltySpec("l1", lam), init=init)
         assert_same_as_unscreened(fit, prob, PenaltySpec("l1", 0.0, lam), init)
 
 
 @SMALL
 @given(problems(), st.data())
-def test_fits_accept_standardized_designs_and_name_an_off_norm_column(prob, data):
+def test_fits_accept_standardized_designs_and_name_an_off_norm_column(case, data):
     # a column off norm sqrt(n) by relative 1e-6 is named; one off by 1e-9
     # is within the fitters' tolerance, as is every standardize() output
-    fits = (lambda q: fit_lasso(q, 0.1), fit_combined, lambda q: fit_path(q, [1.0, 0.5]))
+    prob, spec = case
+    fits = (lambda q: fit_combined(q, PenaltySpec("l1", 0.1)), lambda q: fit_combined(q, spec),
+            lambda q: fit_path(q, spec, [1.0, 0.5]))
     j = data.draw(st.integers(0, prob.X.shape[1] - 1))
     near, off = prob.X.copy(), prob.X.copy()
     near[:, j] *= 1.0 + 1e-9
@@ -234,15 +240,16 @@ def test_fits_accept_standardized_designs_and_name_an_off_norm_column(prob, data
 @settings(max_examples=60, deadline=None)
 @given(st.booleans().flatmap(lambda wide: problems(wide=wide)),
        st.sampled_from(DEFAULT_C_GRID), st.floats(-3.0, 3.0))
-def test_first_study_level_from_zero_is_exactly_zero(prob, c, log_scale):
+def test_first_study_level_from_zero_is_exactly_zero(case, c, log_scale):
     # every study path starts from zero, which rests on this: at lambda0 > 0
     # the first level's zero threshold lambda0 + lambda_max exceeds every
     # |x_j'y|/n, so zero is the exact, certified fit there
+    prob, spec = case
     n, p = prob.X.shape
     assume(p >= 2)  # universal_lambda0 needs two columns
     y = prob.y * 10.0**log_scale
-    spec = replace(prob.penalty, lambda0=c * universal_lambda0(n, p, 1.0))
+    spec = replace(spec, lambda0=c * universal_lambda0(n, p, 1.0))
     lam = combined_lambda_grid(spec, default_lambda_grid(prob.X, y))[0]
-    fit = fit_combined(RegressionProblem(prob.X, y, replace(spec, lam=float(lam))))
+    fit = fit_combined(RegressionProblem(prob.X, y), replace(spec, lam=float(lam)))
     assert not fit.beta.any()
     assert fit.converged and fit.coordinatewise_global

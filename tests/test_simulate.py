@@ -10,7 +10,7 @@ from l1concave.penalty import PenaltySpec
 from l1concave.simulate import (METRIC_NAMES, SimConfig, aggregate,
                                 combined_lambda_grid, cv_lasso_start, gen_design,
                                 gen_response, run_study, study_beta0)
-from l1concave.solver import RegressionProblem, default_lambda_grid, fit_lasso, standardize
+from l1concave.solver import RegressionProblem, default_lambda_grid, fit_combined, standardize
 from l1concave.tuning import cv_select
 
 
@@ -85,10 +85,9 @@ def test_cv_lasso_start_is_the_lasso_at_the_cv_level():
     y = gen_response(X, study_beta0(12), 0.3, seed=12)
     Xs, _ = standardize(X)
     grid = default_lambda_grid(Xs, y, 12, 0.05)
-    sel = cv_select(RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0)), grid, folds=4, seed=3)
-    want = fit_lasso(RegressionProblem(Xs, y), float(grid[sel.chosen_index])).beta
-    # the concave penalty of the problem plays no part
-    prob = RegressionProblem(Xs, y, PenaltySpec("hard", 0.3, lambda0=0.1))
+    prob = RegressionProblem(Xs, y)
+    sel = cv_select(prob, PenaltySpec("l1", 0.0), grid, 4, seed=3)
+    want = fit_combined(prob, PenaltySpec("l1", float(grid[sel.chosen_index]))).beta
     start, start_sel = cv_lasso_start(prob, grid, 4, 3)
     assert np.array_equal(start.beta, want) and start.converged
     assert start_sel.chosen_index == sel.chosen_index

@@ -11,21 +11,21 @@ from l1concave import scalar_prox, solver
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
 from l1concave.solver import (DegenerateColumnError, RegressionProblem,
-                              default_lambda_grid, fit_combined, fit_lasso,
+                              default_lambda_grid, fit_combined,
                               fit_path, lasso_homotopy, level_grid, objective_value,
                               refit_ls, standardize, computable_certificate,
                               universal_lambda0)
 
 
-def orthogonal_problem(n, seed=0, penalty=None):
+def orthogonal_problem(n, seed=0):
     # Hadamard columns have exact norm sqrt(n) and exact zero cross products
     X = hadamard(n).astype(float)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n) * 1.5
-    return RegressionProblem(X, y, penalty=penalty), X, y
+    return RegressionProblem(X, y), X, y
 
 
-def random_problem(n, p, s, sigma, seed, penalty=None, rho=0.4):
+def random_problem(n, p, s, sigma, seed, rho=0.4):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     if rho:
@@ -34,7 +34,7 @@ def random_problem(n, p, s, sigma, seed, penalty=None, rho=0.4):
     beta0[:s] = rng.uniform(0.8, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s)
     y = X @ beta0 + sigma * rng.standard_normal(n)
     Xs, scales = standardize(X)
-    return RegressionProblem(Xs, y, penalty=penalty), beta0, scales
+    return RegressionProblem(Xs, y), beta0, scales
 
 
 def test_standardize_examples():
@@ -99,31 +99,31 @@ def test_problem_validation():
         RegressionProblem(np.array([[1.0, math.nan]]), np.ones(1))
     # an unstandardized design is a valid problem (BIC and refit_ls use one);
     # the fitters reject it and name the column whose norm is not sqrt(n)
-    prob = RegressionProblem(2 * np.ones((4, 1)), np.ones(4),
-                             PenaltySpec("hard", 0.3, lambda0=0.1))
+    prob = RegressionProblem(2 * np.ones((4, 1)), np.ones(4))
+    spec = PenaltySpec("hard", 0.3, lambda0=0.1)
     with pytest.raises(ValueError, match="column 0"):
-        fit_lasso(prob, 0.1)
+        fit_combined(prob, PenaltySpec("l1", 0.1))
     with pytest.raises(ValueError, match="column 0"):
-        fit_combined(prob)
+        fit_combined(prob, spec)
     with pytest.raises(ValueError, match="column 0"):
-        fit_path(prob, [0.3, 0.2])
+        fit_path(prob, spec, [0.3, 0.2])
 
 
 def test_lasso_orthogonal_soft_threshold():
     prob, X, y = orthogonal_problem(16, seed=3)
     lam = 0.3
-    fit = fit_lasso(prob, lam)
+    fit = fit_combined(prob, PenaltySpec("l1", lam))
     z = X.T @ y / 16
     expected = np.sign(z) * np.clip(np.abs(z) - lam, 0.0, None)
     assert fit.beta == pytest.approx(expected, abs=1e-8)
     assert fit.converged and fit.kkt_inf <= lam + 1e-6
 
 
-def test_fit_lasso_is_a_one_point_l1_path():
+def test_l1_fit_is_a_one_point_l1_path():
     prob, _, _ = random_problem(40, 15, 4, 0.3, seed=6)
-    l1 = replace(prob, penalty=PenaltySpec("l1", 0.0))
     for lam in (0.5, 0.1, 0.01):
-        lasso, point = fit_lasso(prob, lam), fit_path(l1, [lam]).fits[0]
+        lasso = fit_combined(prob, PenaltySpec("l1", lam))
+        point = fit_path(prob, PenaltySpec("l1", 0.0), [lam]).fits[0]
         assert np.array_equal(lasso.beta, point.beta)
         assert lasso.iterations == point.iterations
         assert lasso.penalty == point.penalty == PenaltySpec("l1", lam)
@@ -132,7 +132,7 @@ def test_fit_lasso_is_a_one_point_l1_path():
 def test_lasso_kkt_zero_solution():
     prob, X, y = orthogonal_problem(8, seed=4)
     lam = float(np.max(np.abs(X.T @ y)) / 8) + 1e-9
-    fit = fit_lasso(prob, lam)
+    fit = fit_combined(prob, PenaltySpec("l1", lam))
     assert np.all(fit.beta == 0.0) and fit.support.size == 0
 
 
@@ -142,7 +142,7 @@ def test_lasso_zero_lambda_is_ols():
     y = rng.standard_normal(50)
     Xs, scales = standardize(X)
     prob = RegressionProblem(Xs, y)
-    fit = fit_lasso(prob, 0.0, tol=1e-10, max_iter=5000)
+    fit = fit_combined(prob, PenaltySpec("l1", 0.0), tol=1e-10, max_iter=5000)
     ols = np.linalg.lstsq(Xs, y, rcond=None)[0]
     assert fit.beta == pytest.approx(ols, abs=1e-6)
 
@@ -152,16 +152,16 @@ def test_combined_single_coordinate_reduces_to_prox():
     X = np.full((n, 1), 1.0) * math.sqrt(n) / math.sqrt(n)  # unit entries, norm sqrt(n)
     y = np.linspace(-1, 2, n)
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
-    prob = RegressionProblem(X, y, penalty=spec)
-    fit = fit_combined(prob)
+    prob = RegressionProblem(X, y)
+    fit = fit_combined(prob, spec)
     z = float(X[:, 0] @ y) / n
     assert fit.beta[0] == prox_combined(z, spec)
 
 
 def test_combined_orthogonal_hard_closed_form():
     spec = PenaltySpec("hard", 0.35, lambda0=0.15)
-    prob, X, y = orthogonal_problem(32, seed=6, penalty=spec)
-    fit = fit_combined(prob)
+    prob, X, y = orthogonal_problem(32, seed=6)
+    fit = fit_combined(prob, spec)
     z = X.T @ y / 32
     expected = np.where(np.abs(z) > spec.lam + spec.lambda0,
                         np.sign(z) * (np.abs(z) - spec.lambda0), 0.0)
@@ -173,9 +173,9 @@ def test_combined_fixed_point_init():
     # under exact orthogonality one sweep lands exactly on the fixed point,
     # so restarting from it changes nothing
     spec = PenaltySpec("scad", 0.3, lambda0=0.1)
-    prob, X, y = orthogonal_problem(16, seed=7, penalty=spec)
-    first = fit_combined(prob)
-    second = fit_combined(prob, init=first.beta)
+    prob, X, y = orthogonal_problem(16, seed=7)
+    first = fit_combined(prob, spec)
+    second = fit_combined(prob, spec, init=first.beta)
     assert second.beta == pytest.approx(first.beta, abs=1e-12)
     assert second.converged and second.iterations <= 3
 
@@ -184,8 +184,8 @@ def test_objective_recompute_invariant():
     rng = np.random.default_rng(8)
     for kind in ("hard", "scad", "mcp", "sica", "l1"):
         spec = PenaltySpec(kind, 0.25, lambda0=0.1)
-        prob, _, _ = random_problem(40, 25, 4, 0.3, seed=rng.integers(1 << 30), penalty=spec)
-        fit = fit_combined(prob)
+        prob, _, _ = random_problem(40, 25, 4, 0.3, seed=rng.integers(1 << 30))
+        fit = fit_combined(prob, spec)
         fresh = objective_value(prob.X, prob.y, fit.beta, spec)
         assert abs(fit.objective - fresh) <= 1e-10 * max(1.0, abs(fresh))
 
@@ -193,8 +193,8 @@ def test_objective_recompute_invariant():
 def test_objective_monotone_per_sweep():
     for kind, seed in (("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
         spec = PenaltySpec(kind, 0.3, lambda0=0.12)
-        prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed, penalty=spec)
-        fit = fit_combined(prob)
+        prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed)
+        fit = fit_combined(prob, spec)
         objs = fit.sweep_objectives
         assert objs is not None and len(objs) >= 2
         diffs = np.diff(objs)
@@ -208,18 +208,18 @@ def test_descent_check_catches_a_prox_that_raises_the_penalty(monkeypatch):
     # sum of squares but raises the penalty by more, so only the running
     # penalty sum shows the increase
     spec = PenaltySpec("scad", 0.3, lambda0=0.12)
-    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=2, penalty=spec)
-    start = fit_combined(prob).beta
+    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=2)
+    start = fit_combined(prob, spec).beta
     monkeypatch.setattr(scalar_prox, "make_prox", lambda p: (lambda z: z))
     with pytest.raises(RuntimeError, match="objective increased"):
-        fit_combined(prob, init=start)
+        fit_combined(prob, spec, init=start)
 
 
 def test_last_sweep_objective_agrees_with_recomputed_objective():
     for kind, seed in (("l1", 0), ("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
         spec = PenaltySpec(kind, 0.3, lambda0=0.12)
-        prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed, penalty=spec)
-        fit = fit_combined(prob)
+        prob, _, _ = random_problem(60, 40, 5, 0.4, seed=seed)
+        fit = fit_combined(prob, spec)
         objs = fit.sweep_objectives
         assert fit.converged and fit.nnz > 0
         assert abs(objs[-1] - fit.objective) <= solver._RUNNING_RTOL * objs[0]
@@ -229,7 +229,7 @@ def test_running_penalty_sum_is_checked_against_its_recomputation(monkeypatch):
     # the penalty sum is recomputed once at the start and once at the end of
     # a fit; a recomputation off by more than the bound must raise
     spec = PenaltySpec("sica", 0.3, lambda0=0.12)
-    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=3, penalty=spec)
+    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=3)
     exact = solver._penalty_sum
     for rel, raises in ((1e-6, True), (1e-12, False)):
         calls = []
@@ -241,15 +241,15 @@ def test_running_penalty_sum_is_checked_against_its_recomputation(monkeypatch):
         monkeypatch.setattr(solver, "_penalty_sum", skewed)
         if raises:
             with pytest.raises(RuntimeError, match="running penalty sum"):
-                fit_combined(prob)
+                fit_combined(prob, spec)
         else:
-            fit_combined(prob)
+            fit_combined(prob, spec)
         assert len(calls) == 2
 
 def test_coordinatewise_global_certificate():
     spec = PenaltySpec("mcp", 0.3, lambda0=0.1)
-    prob, _, _ = random_problem(50, 30, 4, 0.3, seed=9, penalty=spec)
-    fit = fit_combined(prob, tol=1e-9)
+    prob, _, _ = random_problem(50, 30, 4, 0.3, seed=9)
+    fit = fit_combined(prob, spec, tol=1e-9)
     assert fit.converged and fit.coordinatewise_global
     r = prob.y - prob.X @ fit.beta
     z = prob.X.T @ r / prob.X.shape[0] + fit.beta
@@ -261,9 +261,9 @@ def test_lambda_zero_reduction():
     for kind in ("hard", "scad", "mcp", "sica"):
         lam0 = 0.18
         spec = PenaltySpec(kind, 0.0, lambda0=lam0)
-        prob, _, _ = random_problem(40, 60, 4, 0.3, seed=11, penalty=spec)
-        combined = fit_combined(prob, tol=1e-9, max_iter=3000)
-        lasso = fit_lasso(prob, lam0, tol=1e-9, max_iter=3000)
+        prob, _, _ = random_problem(40, 60, 4, 0.3, seed=11)
+        combined = fit_combined(prob, spec, tol=1e-9, max_iter=3000)
+        lasso = fit_combined(prob, PenaltySpec("l1", lam0), tol=1e-9, max_iter=3000)
         assert combined.beta == pytest.approx(lasso.beta, abs=1e-6)
 
 
@@ -275,46 +275,47 @@ def test_scale_roundtrip():
     y = X @ beta0
     Xs, scales = standardize(X)
     prob = RegressionProblem(Xs, y)
-    fit = fit_lasso(prob, 1e-8, tol=1e-11, max_iter=5000)
+    fit = fit_combined(prob, PenaltySpec("l1", 1e-8), tol=1e-11, max_iter=5000)
     assert scales * fit.beta == pytest.approx(beta0, abs=1e-6)
 
 
 def test_fit_path_validation_and_single_point():
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
-    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=13, penalty=spec)
+    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=13)
     for bad in ([0.1, 0.2], [], [0.3, -0.1]):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            fit_path(prob, bad)
-    for tol, max_iter in ((0.0, 10), (-1.0, 10), (1e-7, 0)):
+            fit_path(prob, spec, bad)
+    for tol, max_iter in ((0.0, 10), (-1.0, 10), (math.inf, 10), (1e-7, 0)):
         with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
-            fit_path(prob, [0.3], tol=tol, max_iter=max_iter)
-    init = fit_lasso(prob, 0.2).beta
-    path = fit_path(prob, [0.3], init=init)
-    direct = fit_combined(replace(prob, penalty=replace(spec, lam=0.3)), init=init)
+            fit_path(prob, spec, [0.3], tol=tol, max_iter=max_iter)
+    init = fit_combined(prob, PenaltySpec("l1", 0.2)).beta
+    path = fit_path(prob, spec, [0.3], init=init)
+    direct = fit_combined(prob, replace(spec, lam=0.3), init=init)
     assert np.array_equal(path.fits[0].beta, direct.beta)
     assert all(fit.penalty.lambda0 == spec.lambda0 for fit in path.fits)
 
 
 def test_fit_path_all_zero_at_lambda_max():
     spec = PenaltySpec("hard", 0.3, lambda0=0.0)
-    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=14, penalty=spec)
+    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=14)
     lam_max = float(np.max(np.abs(prob.X.T @ prob.y)) / 40)
-    path = fit_path(prob, [lam_max + 0.1], init=fit_lasso(prob, lam_max + 0.1).beta)
+    init = fit_combined(prob, PenaltySpec("l1", lam_max + 0.1)).beta
+    path = fit_path(prob, spec, [lam_max + 0.1], init=init)
     assert path.fits[0].support.size == 0
 
 
 def test_fit_path_warm_start_runs_and_cv_init():
     spec = PenaltySpec("scad", 0.3, lambda0=0.08)
-    prob, beta0, scales = random_problem(60, 30, 4, 0.25, seed=15, penalty=spec)
+    prob, beta0, scales = random_problem(60, 30, 4, 0.25, seed=15)
     grid = default_lambda_grid(prob.X, prob.y, num=12, ratio=0.05)
-    path = fit_path(prob, grid)
+    path = fit_path(prob, spec, grid)
     assert len(path.fits) == 12
     assert all(f.converged for f in path.fits)
     assert all(f.penalty == replace(spec, lam=lam) for f, lam in zip(path.fits, grid))
     nnz = [f.nnz for f in path.fits]
     assert nnz[-1] >= nnz[0]
     # init=None is the zero start, bit for bit
-    zero = fit_path(prob, grid, init=np.zeros(prob.X.shape[1]))
+    zero = fit_path(prob, spec, grid, init=np.zeros(prob.X.shape[1]))
     for a, b in zip(path.fits, zero.fits):
         assert np.array_equal(a.beta, b.beta) and a.iterations == b.iterations
         assert a.objective == b.objective and a.kkt_inf == b.kkt_inf
@@ -322,11 +323,11 @@ def test_fit_path_warm_start_runs_and_cv_init():
 
 def test_computable_certificate_checks():
     spec = PenaltySpec("hard", 0.3, lambda0=0.1)
-    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=16, penalty=spec)
-    zero = fit_combined(replace(prob, penalty=replace(spec, lam=10.0)), init=None)
+    prob, _, _ = random_problem(40, 20, 3, 0.2, seed=16)
+    zero = fit_combined(prob, replace(spec, lam=10.0), init=None)
     cert = computable_certificate(zero, s_hat=0)
     assert cert.sparsity_ok  # an all-zero fit is trivially sparse enough
-    fit = fit_combined(prob)
+    fit = fit_combined(prob, spec)
     # the certificate reads lambda0 from the fit's own penalty
     low = replace(fit, penalty=replace(spec, lambda0=fit.kkt_inf / 10.0))
     bad = computable_certificate(low, s_hat=3)
@@ -388,8 +389,9 @@ def lasso_problems(draw):
     beta0 = rng.standard_normal(p) * (rng.random(p) < min(1.0, 5.0 / p))
     y = X @ beta0 + 0.5 * rng.standard_normal(n)
     lam_max = float(np.max(np.abs(X.T @ y))) / n
-    levels = lam_max * np.array(sorted(draw(st.lists(st.floats(0.05, 1.2), min_size=1,
-                                                     max_size=6, unique=True)), reverse=True))
+    fracs = draw(st.lists(st.floats(0.05, 1.2), min_size=1, max_size=6, unique=True))
+    # distinct fractions one ulp apart can round to one level
+    levels = np.unique(lam_max * np.array(fracs))[::-1]
     return RegressionProblem(X, y), levels
 
 
@@ -398,12 +400,12 @@ def lasso_problems(draw):
 def test_homotopy_is_certified_and_equals_tight_cd(case):
     prob, levels = case
     n, p = prob.shape
-    betas = lasso_homotopy(prob.X, prob.y, levels)
+    betas = lasso_homotopy(prob, levels)
     if p < n:  # |A| <= p < n: only a singular G_AA could stop it, which needs a tie
         assert len(betas) == levels.size
     for level, beta in zip(levels, betas):
         assert certified_lasso(prob, level, beta)
-        ref = fit_lasso(prob, float(level), tol=1e-12, max_iter=200_000)
+        ref = fit_combined(prob, PenaltySpec("l1", float(level)), tol=1e-12, max_iter=200_000)
         assert ref.converged
         assert np.max(np.abs(beta - ref.beta)) <= 1e-8
 
@@ -418,12 +420,12 @@ def test_homotopy_follows_a_coefficient_back_to_zero():
     y = X @ np.array([1.0, -0.8, 0.6, 0.0, 0.0, 0.0]) + 0.3 * rng.standard_normal(20)
     prob = RegressionProblem(X, y)
     grid = default_lambda_grid(X, y, num=20, ratio=0.01)
-    betas = lasso_homotopy(X, y, grid)
+    betas = lasso_homotopy(prob, grid)
     assert len(betas) == grid.size
     on = np.flatnonzero([b[3] != 0.0 for b in betas])
     assert on.size and betas[-1][3] == 0.0 and on[-1] < grid.size - 1
     for level, beta in zip(grid, betas):
-        ref = fit_lasso(prob, float(level), tol=1e-12, max_iter=200_000)
+        ref = fit_combined(prob, PenaltySpec("l1", float(level)), tol=1e-12, max_iter=200_000)
         assert np.max(np.abs(beta - ref.beta)) <= 1e-8
 
 
@@ -437,27 +439,26 @@ def test_homotopy_hands_a_singular_gram_to_cd():
     X[:, 1] = X[:, 0]
     X, _ = standardize(X)
     y = X[:, 0] + 0.5 * X[:, 3] + 0.1 * rng.standard_normal(30)
-    prob = RegressionProblem(X, y, PenaltySpec("l1", 0.0))
+    prob = RegressionProblem(X, y)
     grid = default_lambda_grid(X, y, num=30, ratio=0.01)
-    betas = lasso_homotopy(X, y, grid)
+    betas = lasso_homotopy(prob, grid)
     assert 0 < len(betas) < grid.size
     assert all(certified_lasso(prob, level, beta) for level, beta in zip(grid, betas))
-    rest = fit_path(prob, grid[len(betas):], init=betas[-1])
+    rest = fit_path(prob, PenaltySpec("l1", 0.0), grid[len(betas):], init=betas[-1])
     assert all(fit.coordinatewise_global for fit in rest.fits)
 
 
 def test_homotopy_validation_and_levels_above_lambda_max():
     prob, _, _ = random_problem(30, 10, 3, 0.3, seed=21)
     lam_max = float(np.max(np.abs(prob.X.T @ prob.y))) / 30
-    betas = lasso_homotopy(prob.X, prob.y, [2.0 * lam_max, (1.0 + 1e-9) * lam_max,
-                                            0.5 * lam_max])
+    betas = lasso_homotopy(prob, [2.0 * lam_max, (1.0 + 1e-9) * lam_max, 0.5 * lam_max])
     assert len(betas) == 3
     assert not betas[0].any() and not betas[1].any() and betas[2].any()
     for bad in ([0.1, 0.2], [], [0.3, -0.1]):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            lasso_homotopy(prob.X, prob.y, bad)
+            lasso_homotopy(prob, bad)
     for tol, max_iter in ((0.0, 10), (1e-7, 0)):
         with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
-            lasso_homotopy(prob.X, prob.y, [0.3], tol=tol, max_iter=max_iter)
+            lasso_homotopy(prob, [0.3], tol=tol, max_iter=max_iter)
     with pytest.raises(ValueError, match="run standardize"):
-        lasso_homotopy(2.0 * prob.X, prob.y, [0.3])
+        lasso_homotopy(RegressionProblem(2.0 * prob.X, prob.y), [0.3])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +6,10 @@ import pytest
 from l1concave.penalty import PenaltySpec
 from l1concave.simulate import SimConfig, gen_design, gen_response
 from l1concave.solver import (FitResult, PathResult, RegressionProblem, default_lambda_grid,
-                              fit_lasso, fit_path, standardize)
+                              fit_combined, fit_path, standardize)
 from l1concave.tuning import bic_select, cv_select, fold_assignment
+
+LASSO = PenaltySpec("l1", 0.0)
 
 
 def make_fit(beta, penalty=PenaltySpec("l1", 0.0, 0.1)):
@@ -26,7 +27,7 @@ def lasso_problem(n, p, seed, sigma=0.3):
     beta0[: min(3, p)] = [1.5, -1.0, 0.8][: min(3, p)]
     y = X @ beta0 + sigma * rng.standard_normal(n)
     Xs, _ = standardize(X)
-    return RegressionProblem(Xs, y, penalty=PenaltySpec("l1", 0.0, 0.0))
+    return RegressionProblem(Xs, y)
 
 
 def test_bic_matches_independent_recompute():
@@ -35,7 +36,7 @@ def test_bic_matches_independent_recompute():
     fits = []
     beta = np.zeros(8)
     for lam in grid:
-        fit = fit_lasso(prob, float(lam), init=beta)
+        fit = fit_combined(prob, PenaltySpec("l1", float(lam)), init=beta)
         beta = fit.beta
         fits.append(fit)
     path = PathResult(lambdas=grid, fits=fits)
@@ -50,7 +51,7 @@ def test_bic_matches_independent_recompute():
 
 def test_bic_single_fit_path():
     prob = lasso_problem(20, 5, seed=2)
-    fit = fit_lasso(prob, 0.2)
+    fit = fit_combined(prob, PenaltySpec("l1", 0.2))
     path = PathResult(lambdas=np.array([0.2]), fits=[fit])
     assert bic_select(path, prob).chosen_index == 0
 
@@ -82,7 +83,7 @@ def test_bic_rss_floor_flagged():
 def test_cv_loo_matches_bruteforce_table():
     prob = lasso_problem(10, 3, seed=3)
     grid = np.array([0.4, 0.15, 0.05])
-    sel = cv_select(prob, grid, folds=10, seed=0)
+    sel = cv_select(prob, LASSO, grid, 10, seed=0)
     assignment = fold_assignment(10, 10, 0)
     table = np.zeros(len(grid))
     for i in range(10):
@@ -90,26 +91,25 @@ def test_cv_loo_matches_bruteforce_table():
         Xtr, scales = standardize(prob.X[~te])
         sub = RegressionProblem(Xtr, prob.y[~te])
         for k, lam in enumerate(grid):
-            fit = fit_lasso(sub, float(lam), tol=1e-9, max_iter=5000)
+            fit = fit_combined(sub, PenaltySpec("l1", float(lam)), tol=1e-9, max_iter=5000)
             pred = prob.X[te] @ (scales * fit.beta)
             table[k] += float(np.sum((prob.y[te] - pred) ** 2))
     table /= 10
     assert sel.criterion_values == pytest.approx(table, abs=1e-6)
     assert sel.chosen_index == int(np.argmin(table))
-    assert sel.cv_folds == 10 and sel.criterion == "cv"
 
 
 def test_cv_single_grid_point():
     prob = lasso_problem(12, 4, seed=4)
-    sel = cv_select(prob, np.array([0.2]), folds=3, seed=1)
+    sel = cv_select(prob, LASSO, np.array([0.2]), 3, seed=1)
     assert sel.chosen_index == 0
 
 
 def test_cv_seed_determinism():
     prob = lasso_problem(24, 6, seed=5)
     grid = np.array([0.3, 0.1, 0.03])
-    a = cv_select(prob, grid, folds=4, seed=9)
-    b = cv_select(prob, grid, folds=4, seed=9)
+    a = cv_select(prob, LASSO, grid, 4, seed=9)
+    b = cv_select(prob, LASSO, grid, 4, seed=9)
     assert np.array_equal(a.criterion_values, b.criterion_values)
     assert a.chosen_index == b.chosen_index
 
@@ -122,8 +122,8 @@ def test_cv_degenerate_fold_skipped():
     X = rng.standard_normal((n, p))
     X[fold_assignment(n, 4, seed=7) != 0, 2] = 0.0
     y = X[:, 0] + 0.1 * rng.standard_normal(n)
-    prob = RegressionProblem(X, y, penalty=PenaltySpec("l1", 0.0, 0.0))
-    sel = cv_select(prob, np.array([0.2, 0.05]), folds=4, seed=7)
+    prob = RegressionProblem(X, y)
+    sel = cv_select(prob, LASSO, np.array([0.2, 0.05]), 4, seed=7)
     assert sel.fold_warnings == 1
 
 
@@ -132,11 +132,11 @@ def test_cv_validation(monkeypatch):
 
     prob = lasso_problem(10, 3, seed=9)
     with pytest.raises(ValueError):
-        cv_select(prob, np.array([0.1, 0.2]), folds=5)
+        cv_select(prob, LASSO, np.array([0.1, 0.2]), 5)
     with pytest.raises(ValueError):
-        cv_select(prob, np.array([0.2, 0.1]), folds=1)
+        cv_select(prob, LASSO, np.array([0.2, 0.1]), 1)
     with pytest.raises(ValueError):
-        cv_select(prob, np.array([0.2, 0.1]), folds=11)
+        cv_select(prob, LASSO, np.array([0.2, 0.1]), 11)
 
     def no_fold(*args, **kwargs):
         raise AssertionError("a fold was fitted")
@@ -146,18 +146,18 @@ def test_cv_validation(monkeypatch):
     monkeypatch.setattr(tuning, "lasso_homotopy", no_fold)
     for bad in ([0.2, 0.0], [0.2, -0.1]):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            cv_select(prob, np.array(bad), folds=5)
+            cv_select(prob, LASSO, np.array(bad), 5)
 
 
-def cd_cv(prob, grid, folds, seed, tol=1e-7, max_iter=1000):
-    """K-fold CV criterion from one warm-started fit_path per fold."""
+def cd_cv(prob, spec, grid, folds, seed, tol=1e-7, max_iter=1000):
+    """K-fold CV criterion of spec from one warm-started fit_path per fold."""
     assignment = fold_assignment(len(prob.y), folds, seed)
     sq_err = np.zeros(len(grid))
     for f in range(folds):
         te = assignment == f
         Xtr, scales = standardize(prob.X[~te])
-        path = fit_path(RegressionProblem(Xtr, prob.y[~te], prob.penalty), grid,
-                        tol=tol, max_iter=max_iter)
+        path = fit_path(RegressionProblem(Xtr, prob.y[~te]), spec, grid, tol=tol,
+                        max_iter=max_iter)
         for k, fit in enumerate(path.fits):
             resid = prob.y[te] - prob.X[te] @ (scales * fit.beta)
             sq_err[k] += float(resid @ resid)
@@ -172,11 +172,11 @@ def test_cv_lasso_homotopy_matches_cd_on_desk_replicates(seed, r):
     X = gen_design(cfg.n, cfg.p, cfg.rho, np.random.SeedSequence((seed, r, 0)))
     y = gen_response(X, cfg.beta0, cfg.sigma, np.random.SeedSequence((seed, r, 1)))
     Xs, _ = standardize(X)
-    prob = RegressionProblem(Xs, y, PenaltySpec("l1", 0.0, 0.0))
+    prob = RegressionProblem(Xs, y)
     grid = default_lambda_grid(Xs, y, 30, cfg.grid_ratio)
     fold_seed = np.random.SeedSequence((seed, r, 2))
-    sel = cv_select(prob, grid, 10, seed=fold_seed)
-    ref = cd_cv(prob, grid, 10, fold_seed)
+    sel = cv_select(prob, LASSO, grid, 10, seed=fold_seed)
+    ref = cd_cv(prob, LASSO, grid, 10, fold_seed)
     assert sel.cd_levels == 0 and sel.nonconverged == 0
     assert sel.chosen_index == int(np.argmin(ref))
     assert sel.criterion_values == pytest.approx(ref, rel=1e-5)
@@ -188,21 +188,21 @@ def test_cv_counts_the_levels_cd_fits():
     # those levels to coordinate descent
     prob = lasso_problem(12, 40, seed=11, sigma=0.5)
     grid = default_lambda_grid(prob.X, prob.y, num=15, ratio=0.01)
-    sel = cv_select(prob, grid, folds=3, seed=4)
+    sel = cv_select(prob, LASSO, grid, 3, seed=4)
     assert 0 < sel.cd_levels < 3 * grid.size
     assert sel.nonconverged == 0
-    ref = cd_cv(prob, grid, 3, 4, tol=1e-10, max_iter=100_000)
+    ref = cd_cv(prob, LASSO, grid, 3, 4, tol=1e-10, max_iter=100_000)
     assert sel.criterion_values == pytest.approx(ref, rel=1e-5)
-    scad = replace(prob, penalty=PenaltySpec("scad", 0.0, 0.0, shape=3.7))
-    assert cv_select(scad, grid, folds=3, seed=4).cd_levels == 3 * grid.size
+    scad = PenaltySpec("scad", 0.0, 0.0, shape=3.7)
+    assert cv_select(prob, scad, grid, 3, seed=4).cd_levels == 3 * grid.size
 
 
 def test_cv_counts_nonconverged_fold_fits():
     prob = lasso_problem(30, 8, seed=12)
     grid = default_lambda_grid(prob.X, prob.y, num=10, ratio=0.05)
-    sel = cv_select(prob, grid, folds=3, seed=5, max_iter=1)
+    sel = cv_select(prob, LASSO, grid, 3, seed=5, max_iter=1)
     assert sel.cd_levels > 0 and sel.nonconverged > 0
-    assert cv_select(prob, grid, folds=3, seed=5).nonconverged == 0
+    assert cv_select(prob, LASSO, grid, 3, seed=5).nonconverged == 0
 
 
 def test_cv_l1_levels_rounded_together_by_lambda0_fall_back_to_cd():
@@ -211,18 +211,17 @@ def test_cv_l1_levels_rounded_together_by_lambda0_fall_back_to_cd():
     prob = lasso_problem(30, 5, seed=0)
     grid = np.array([2e-11, 1e-11])
     for kind in ("l1", "scad"):
-        swamped = replace(prob, penalty=PenaltySpec(kind, 0.0, lambda0=1e6))
-        sel = cv_select(swamped, grid, folds=3)
+        swamped = PenaltySpec(kind, 0.0, lambda0=1e6)
+        sel = cv_select(prob, swamped, grid, 3)
         assert sel.cd_levels == 3 * grid.size
-        assert np.array_equal(sel.criterion_values, cd_cv(swamped, grid, 3, 0))
+        assert np.array_equal(sel.criterion_values, cd_cv(prob, swamped, grid, 3, 0))
 
 
 @pytest.mark.parametrize("kind", ["scad", "hard", "sica", "mcp"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cv_concave_kinds_equal_the_per_fold_reference(kind, seed):
     # without the homotopy, cv_select is the plain per-fold loop, bit for bit
-    prob = replace(lasso_problem(30, 8, seed=20 + seed),
-                   penalty=PenaltySpec(kind, 0.0, lambda0=0.02))
+    prob, spec = lasso_problem(30, 8, seed=20 + seed), PenaltySpec(kind, 0.0, lambda0=0.02)
     grid = default_lambda_grid(prob.X, prob.y, num=8, ratio=0.05)
-    sel = cv_select(prob, grid, folds=4, seed=seed)
-    assert np.array_equal(sel.criterion_values, cd_cv(prob, grid, 4, seed))
+    sel = cv_select(prob, spec, grid, 4, seed=seed)
+    assert np.array_equal(sel.criterion_values, cd_cv(prob, spec, grid, 4, seed))

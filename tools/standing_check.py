@@ -5,7 +5,7 @@
 Run it on two checkouts (say a commit and its parent) and compare the
 printed lines; the package is imported from the ``src/`` next to this file.
 
-It prints two kinds of digest:
+It prints three kinds of digest:
 
 * the standing study hashes: sha256 of ``repr(run_study(SimConfig(n=80,
   p=200, reps=2, seed=s, methods=...), threads=2).rows)`` for the four
@@ -16,7 +16,11 @@ It prints two kinds of digest:
   and ``--c 0.25 --cv``, at ``--grid-size 20``. Each run contributes its
   arguments, exit code, standard output (with the output path replaced by
   a fixed token) and the bytes of the CSV it wrote. Standard error is not
-  part of the digest.
+  part of the digest;
+* one sha256 over ``l1concave fit`` runs, each followed by an ``l1concave
+  score`` run on the fit it wrote: the same 10 designs, every penalty kind,
+  and the flag sets none, ``--c 0.25`` and ``--lambda 0.05 --intercept``.
+  Each run contributes as a path run does; a score run writes no CSV.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ SWEEP_N, SWEEP_P, SWEEP_RHO, SWEEP_SIGMA = 60, 120, 0.5, 0.3
 SWEEP_BETA = (1.0, -0.5, 0.7, -1.2, -0.9, 0.3, 0.55)
 SWEEP_KINDS = ("l1", "hard", "scad", "sica")
 SWEEP_FLAGS = ((), ("--cv",), ("--c", "0.25"), ("--c", "0.25", "--cv"))
+FIT_KINDS = ("l1", "hard", "scad", "mcp", "sica")
+FIT_FLAGS = ((), ("--c", "0.25"), ("--lambda", "0.05", "--intercept"))
 
 
 def study_hash(seed: int) -> str:
@@ -71,32 +77,60 @@ def write_csv(path: str, header: list[str], rows: np.ndarray):
             fh.write(",".join(format(float(v), ".17g") for v in np.atleast_1d(row)) + "\n")
 
 
+def write_design(workdir: str, d: int) -> tuple[str, str]:
+    """Write sweep design d and its response as CSVs; return their paths."""
+    X, y = ar1_design(d)
+    design, response = os.path.join(workdir, "X.csv"), os.path.join(workdir, "y.csv")
+    write_csv(design, [f"x{j}" for j in range(SWEEP_P)], X)
+    write_csv(response, ["y"], y)
+    return design, response
+
+
+def run_into(digest, tag: str, argv: list[str], out: str | None = None):
+    """Run the CLI on argv and add its exit code, standard output and the CSV
+    it wrote at out (empty when out is None or it wrote none) to digest."""
+    if out is not None and os.path.exists(out):
+        os.remove(out)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    csv_bytes, text = b"", stdout.getvalue()
+    if out is not None:
+        text = text.replace(out, "OUT")
+        if os.path.exists(out):
+            with open(out, "rb") as fh:
+                csv_bytes = fh.read()
+    for part in (f"{tag}\nexit {rc}\n", text):
+        digest.update(part.encode())
+    digest.update(csv_bytes)
+
+
 def sweep_digest(workdir: str) -> tuple[str, int]:
     digest, runs = hashlib.sha256(), 0
     out = os.path.join(workdir, "path.csv")
     for d in range(SWEEP_DESIGNS):
-        X, y = ar1_design(d)
-        design, response = os.path.join(workdir, "X.csv"), os.path.join(workdir, "y.csv")
-        write_csv(design, [f"x{j}" for j in range(SWEEP_P)], X)
-        write_csv(response, ["y"], y)
+        design, response = write_design(workdir, d)
         for kind in SWEEP_KINDS:
             for flags in SWEEP_FLAGS:
-                argv = ["path", design, response, "--penalty", kind, *flags,
-                        "--grid-size", "20", "--out", out]
-                if os.path.exists(out):
-                    os.remove(out)
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                    rc = cli.main(argv)
-                csv_bytes = b""
-                if os.path.exists(out):
-                    with open(out, "rb") as fh:
-                        csv_bytes = fh.read()
-                tag = f"design {d} {kind} {' '.join(flags)}\nexit {rc}\n"
-                for part in (tag, stdout.getvalue().replace(out, "OUT")):
-                    digest.update(part.encode())
-                digest.update(csv_bytes)
+                run_into(digest, f"design {d} {kind} {' '.join(flags)}",
+                         ["path", design, response, "--penalty", kind, *flags,
+                          "--grid-size", "20", "--out", out], out)
                 runs += 1
+    return digest.hexdigest(), runs
+
+
+def fit_score_digest(workdir: str) -> tuple[str, int]:
+    digest, runs = hashlib.sha256(), 0
+    fit_csv = os.path.join(workdir, "fit.csv")
+    for d in range(SWEEP_DESIGNS):
+        design, response = write_design(workdir, d)
+        for kind in FIT_KINDS:
+            for flags in FIT_FLAGS:
+                args = [design, response, "--penalty", kind, *flags]
+                tag = f"design {d} {kind} {' '.join(flags)}"
+                run_into(digest, f"fit {tag}", ["fit", *args, "--out", fit_csv], fit_csv)
+                run_into(digest, f"score {tag}", ["score", *args, "--fit", fit_csv])
+                runs += 2
     return digest.hexdigest(), runs
 
 
@@ -105,7 +139,9 @@ def main() -> int:
         print(f"study seed {seed}: {study_hash(seed)}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
         digest, runs = sweep_digest(workdir)
-    print(f"cli path sweep ({runs} runs): {digest}")
+        print(f"cli path sweep ({runs} runs): {digest}", flush=True)
+        digest, runs = fit_score_digest(workdir)
+    print(f"cli fit and score ({runs} runs): {digest}")
     return 0
 
 
