@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except (CLIError, ValueError) as exc:  # the library raises ValueError on bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:  # e.g. the square of a finite but huge level
+        print(f"error: numerical overflow: {exc.args[-1]}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

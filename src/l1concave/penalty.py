@@ -90,9 +90,9 @@ class ShapeCheckReport:
 def _check_t(t, positive=False):
     t = np.asarray(t, dtype=float)
     if positive:
-        if np.any(t <= 0.0):
+        if (t <= 0.0).any():
             raise ValueError("t must be positive")
-    elif np.any(t < 0.0):
+    elif (t < 0.0).any():
         raise ValueError("t must be nonnegative")
     return t
 

@@ -43,25 +43,40 @@ def combined_objective(beta, z: float, p: PenaltySpec):
     return out
 
 
-def _real_cubic_roots(b2: float, b1: float, b0: float) -> list[float]:
-    """Real roots of t^3 + b2 t^2 + b1 t + b0 (Cardano / trigonometric form)."""
+_TWO_THIRDS_PI, _FOUR_THIRDS_PI = 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0
+
+
+def _largest_cubic_root(b2: float, b1: float, b0: float, lo: float, hi: float) -> float | None:
+    """The largest real root in [lo, hi] of t^3 + b2 t^2 + b1 t + b0, or None
+    if it has none there (Cardano / trigonometric form)."""
     shift = b2 / 3.0
     p = b1 - b2 * b2 / 3.0
     q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
     disc = 0.25 * q * q + p**3 / 27.0
     if disc > 0.0:
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-0.5 * q + s) ** (1.0 / 3.0), -0.5 * q + s)
-        v = math.copysign(abs(-0.5 * q - s) ** (1.0 / 3.0), -0.5 * q - s)
-        return [u + v - shift]
+        s, h = math.sqrt(disc), -0.5 * q
+        u = math.copysign(abs(h + s) ** (1.0 / 3.0), h + s)
+        v = math.copysign(abs(h - s) ** (1.0 / 3.0), h - s)
+        t = u + v - shift
+        return t if lo <= t <= hi else None
     if p >= 0.0:
         # disc <= 0 with p >= 0 forces p = q = 0: triple root
-        return [-shift]
+        return -shift if lo <= -shift <= hi else None
     m = 2.0 * math.sqrt(-p / 3.0)
     arg = 3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
+    arg = (arg if arg < 1.0 else 1.0) if arg > -1.0 else -1.0  # min(1.0, max(-1.0, arg))
     theta = math.acos(arg) / 3.0
-    return [m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
+    # t0 >= t1 >= t2 in exact arithmetic, but rounding can break ties either
+    # way, so compare them as max() over the list [t0, t1, t2] would
+    t0 = m * math.cos(theta) - shift
+    t1 = m * math.cos(theta - _TWO_THIRDS_PI) - shift
+    t2 = m * math.cos(theta - _FOUR_THIRDS_PI) - shift
+    top = t0 if lo <= t0 <= hi else None
+    if lo <= t1 <= hi and (top is None or t1 > top):
+        top = t1
+    if lo <= t2 <= hi and (top is None or t2 > top):
+        top = t2
+    return top
 
 
 @lru_cache(maxsize=256)
@@ -137,16 +152,11 @@ def make_prox(p: PenaltySpec):
 
     # sica: stationary points solve (b - w)(a + b)^2 + lam a (a+1) = 0, a cubic.
     # p''' > 0 makes q'(b) = b - w + p'(b) strictly convex on [0, inf), so the
-    # largest stationary point is the only local minimizer in (0, |z|]
+    # largest stationary point is the only local minimizer in (0, |z|]; the
+    # candidate b beats zero when q(b) = 0.5 (|z| - b)^2 + lambda0 b + p(b)
+    # is below q(0), and q'(b) = b - w + coef / (a + b)^2
     coef = lam * a * (a + 1.0)
-    pval = scalar_value(p)
-
-    def pderiv(b: float) -> float:
-        return coef / (a + b) ** 2
-
-    def q(az: float, b: float) -> float:
-        return 0.5 * (az - b) ** 2 + l0 * b + pval(b)
-
+    pval, coef2, a2, aa = scalar_value(p), 2.0 * coef, 2.0 * a, a * a
     deriv0 = coef / (a * a)  # p'(0+)
 
     def prox(z: float) -> float:
@@ -154,19 +164,20 @@ def make_prox(p: PenaltySpec):
         if az == 0.0:
             return 0.0
         w = az - l0
-        q0 = q(az, 0.0)
+        q0 = 0.5 * az ** 2  # q(0)
         best = 0.0
-        roots = [r for r in _real_cubic_roots(2.0 * a - w, a * a - 2.0 * a * w, coef - w * a * a)
-                 if -1e-12 <= r <= az * (1.0 + 1e-12) + 1e-300]
-        if roots:
-            b = min(max(max(roots), 0.0), az)
-            for _ in range(2):  # Newton polish on q'(b) = b - w + p'(b)
-                g = b - w + pderiv(b)
-                h = 1.0 - 2.0 * coef / (a + b) ** 3
+        b = _largest_cubic_root(a2 - w, aa - a2 * w, coef - w * a * a,
+                                -1e-12, az * (1.0 + 1e-12) + 1e-300)
+        if b is not None:
+            # clamp to [0, |z|] as min(max(b, 0.0), az) would, without the calls
+            b = 0.0 if 0.0 > b else az if az < b else b
+            for _ in range(2):  # Newton polish on q'(b)
+                h = 1.0 - coef2 / (a + b) ** 3
                 if h <= 1e-12:
                     break
-                b = min(max(b - g / h, 0.0), az)
-            if q(az, b) < q0:
+                b -= (b - w + coef / (a + b) ** 2) / h
+                b = 0.0 if 0.0 > b else az if az < b else b
+            if 0.5 * (az - b) ** 2 + l0 * b + pval(b) < q0:
                 best = b
         if best == 0.0 and w > deriv0:
             # zero is not even locally optimal, so a stationary point in
@@ -177,11 +188,11 @@ def make_prox(p: PenaltySpec):
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break
-                if mid - w + pderiv(mid) < 0.0:
+                if mid - w + coef / (a + mid) ** 2 < 0.0:
                     lo = mid
                 else:
                     hi = mid
-            if q(az, lo) < q0:
+            if 0.5 * (az - lo) ** 2 + l0 * lo + pval(lo) < q0:
                 best = lo
         return math.copysign(best, z)
 

@@ -21,7 +21,9 @@ the start of the sweep plus the total coefficient change since, so it makes
 exactly the updates a sweep over all coordinates would. The certificate
 recomputes the residual and the gradient from scratch and checks the
 coordinatewise-global condition prox(grad_j + b_j) = b_j on every
-coordinate not provably in the zero zone.
+coordinate not provably in the zero zone. Along a path, each fit starts from
+the residual and gradient its predecessor's certificate computed, the arrays
+a fresh start from the same beta would compute.
 
 The lasso alone also has an exact path solver, lasso_homotopy, which the
 cross-validation folds use; every beta it returns passes the same
@@ -200,7 +202,7 @@ def objective_value(X, y, beta, p: PenaltySpec) -> float:
 
 def _penalty_sum(beta, p: PenaltySpec) -> float:
     ab = np.abs(beta)
-    return float(p.lambda0 * ab.sum() + np.sum(penalty_value(p, ab)))
+    return float(p.lambda0 * ab.sum() + penalty_value(p, ab).sum())
 
 
 def _design(X):
@@ -217,15 +219,17 @@ def _design(X):
 
 
 def _certificate(Xf, y, beta, prox, zero_zone, tol):
-    """The residual, ||n^-1 X'r||_inf and the coordinatewise-global check of beta,
-    recomputed from scratch: |prox(grad_j + b_j) - b_j| < 10 tol on every
-    coordinate except the zeros with |grad_j| in the zero zone, where
+    """The residual r, grad = n^-1 X'r, ||grad||_inf and the coordinatewise-global
+    check of beta, recomputed from scratch: |prox(grad_j + b_j) - b_j| < 10 tol on
+    every coordinate except the zeros with |grad_j| in the zero zone, where
     prox(grad_j) = 0 exactly."""
-    r = y - Xf @ beta
-    grad = Xf.T @ r / Xf.shape[0]
-    check = np.flatnonzero((beta != 0.0) | (np.abs(grad) > zero_zone))
-    cw_dev = max((abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in check), default=0.0)
-    return r, float(np.max(np.abs(grad))), cw_dev < 10.0 * tol
+    r = y - Xf.dot(beta)
+    grad = Xf.T.dot(r) / Xf.shape[0]
+    ag = np.abs(grad)
+    check = np.flatnonzero((beta != 0.0) | (ag > zero_zone))
+    cw_dev = max((abs(prox(g + b) - b) for g, b in zip(grad[check].tolist(), beta[check].tolist())),
+                 default=0.0)
+    return r, grad, float(ag.max()), cw_dev < 10.0 * tol
 
 
 def _check_settings(tol, max_iter):
@@ -234,19 +238,37 @@ def _check_settings(tol, max_iter):
                          f"max_iter={max_iter}")
 
 
-def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
-    """Shared coordinate-descent engine on the _design of a standardized X."""
+def _start(Xf, y, init):
+    """A fit's start (beta, r, grad): init as a fresh array (zero when None),
+    r = y - X beta and grad = n^-1 X'r, the arrays _certificate returns."""
+    p = Xf.shape[1]
+    beta = np.zeros(p) if init is None else np.array(init, dtype=float).ravel()
+    if beta.size != p:
+        raise ValueError("init has wrong length")
+    r = y - Xf.dot(beta)
+    return beta, r, Xf.T.dot(r) / Xf.shape[0]
+
+
+def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
+    """Shared coordinate-descent engine on the _design of a standardized X.
+
+    Runs from start = (beta, r, grad) as _start builds it, updating beta and r
+    in place; returns the fit with its certificate's residual and gradient,
+    which are the start of a fit from the same beta."""
     _check_settings(tol, max_iter)
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
     Xf, cols, col_dev = design
     n, p = Xf.shape
-    beta = np.zeros(p) if init is None else np.array(init, dtype=float).ravel().copy()
-    if beta.size != p:
-        raise ValueError("init has wrong length")
+    beta, r, grad = start
     bl = beta.tolist()  # float mirror of beta for the sweep loop
     prox = make_prox(penalty)
     pval, l0 = scalar_value(penalty), penalty.lambda0
+    # term[j] = lambda0 |b_j| + p(|b_j|), so an update evaluates p once
+    term = [l0 * 0.0 + pval(0.0)] * p
+    for j in np.flatnonzero(beta).tolist():
+        abj = abs(bl[j])
+        term[j] = l0 * abj + pval(abj)
     zthr = zero_threshold(penalty)
     zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
 
@@ -254,41 +276,52 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
     # the dot products and residual updates relative to the residual's scale
     fp = 4.0 * (n + p) * _EPS
     grow = (1.0 + col_dev) * (1.0 + fp)
-    r, buf = y - Xf @ beta, np.empty(n)
-    pen, bb = _penalty_sum(beta, penalty), float(beta @ beta)  # running sums
-    prev_obj = start_obj = float(r @ r) / (2.0 * n) + pen
+    buf, mul, add = np.empty(n), np.multiply, np.add
+    no_room = [-math.inf] * p  # the active-set sweeps skip nothing
+    pen, bb = _penalty_sum(beta, penalty), float(beta.dot(beta))  # running sums
+    n2, c4 = 2.0 * n, 4.0 * col_dev
+    prev_obj = start_obj = float(r.dot(r)) / n2 + pen
     objs = [prev_obj]
 
-    def sweep(idx, room=None) -> float:
+    def sweep(idx, room, cap=math.inf) -> float:
         # room[j] is how far |z_j| sat below the zero zone's edge, less a
         # rounding guard, when the sweep began; a zero coordinate is skipped
-        # while the change summed over this sweep cannot have lifted |z_j|
-        # out of the zone
-        nonlocal r, pen, bb
-        delta = drift = 0.0
+        # while bound = grow * drift, with drift the change summed over this
+        # sweep, cannot have lifted |z_j| out of the zone. idx may leave out
+        # zero coordinates with room[j] >= cap: once bound passes cap, its
+        # tail becomes every later coordinate (the loop reads idx by position)
+        nonlocal pen, bb
+        delta = drift = bound = 0.0
         for j in idx:
             bj = bl[j]
-            if room is not None and bj == 0.0 and grow * drift <= room[j]:
+            if bj == 0.0 and bound <= room[j]:
                 continue
             xj = cols[j]
-            nb = prox(float(xj @ r) / n + bj)
+            nb = prox(float(xj.dot(r)) / n + bj)
             if nb != bj:
-                np.multiply(xj, bj - nb, out=buf)
-                r += buf
+                step = bj - nb
+                mul(xj, step, buf)
+                add(r, buf, r)
                 beta[j] = bl[j] = nb
-                anb, abj = abs(nb), abs(bj)
-                pen += l0 * anb + pval(anb) - (l0 * abj + pval(abj))
+                anb = abs(nb)
+                tn = l0 * anb + pval(anb)
+                pen += tn - term[j]
+                term[j] = tn
                 bb += nb * nb - bj * bj
-                d = abs(nb - bj)
+                d = abs(step)
                 drift += d
+                bound = grow * drift
+                if bound > cap:
+                    idx[idx.index(j) + 1:] = range(j + 1, p)
+                    cap = math.inf
                 if d > delta:
                     delta = d
         return delta
 
     def check_objective():
         nonlocal prev_obj
-        obj = float(r @ r) / (2.0 * n) + pen
-        slack = 1e-12 * max(1.0, abs(prev_obj)) + 4.0 * col_dev * (1.0 + bb)
+        obj = float(r.dot(r)) / n2 + pen
+        slack = 1e-12 * max(1.0, abs(prev_obj)) + c4 * (1.0 + bb)
         if obj > prev_obj + slack:
             raise RuntimeError(
                 f"objective increased across a sweep ({prev_obj!r} -> {obj!r}); "
@@ -299,35 +332,43 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
 
     sweeps = 0
     converged = False
-    while sweeps < max_iter:
-        az = np.abs(Xf.T @ r / n + beta)
+    z = grad + beta  # the first screen reads the start's gradient
+    while True:
+        az = np.abs(z)
         active = np.flatnonzero((beta != 0.0) | (az > zthr)).tolist()
         if active:
             while sweeps < max_iter:
                 sweeps += 1
-                delta = sweep(active)
+                delta = sweep(active, no_room)
                 check_objective()
                 if delta < tol:
                     break
         if sweeps >= max_iter:
             break
         if active:  # else beta is 0 and az already equals |X'r| / n bit for bit
-            az = np.abs(Xf.T @ r) / n
+            az = np.abs(Xf.T.dot(r)) / n
         sweeps += 1
-        rounding = fp * math.sqrt(float(r @ r) / n)
-        delta = sweep(range(p), (zero_zone - rounding - az).tolist())
+        rounding = fp * math.sqrt(float(r.dot(r)) / n)
+        room = zero_zone - rounding - az
+        # the zeros this sweep skips for as long as bound <= cap
+        out = (beta == 0.0) & (room >= 0.0)
+        cap = float(room[out].min()) if out.any() else math.inf
+        delta = sweep(np.flatnonzero(~out).tolist(), room, cap)
         check_objective()
         if delta < tol:
             converged = True
             break
+        if sweeps >= max_iter:
+            break
+        z = Xf.T.dot(r) / n + beta
 
-    r, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
+    r, grad, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
     pen_fresh = _penalty_sum(beta, penalty)
     if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
         raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
                            f"recomputation {pen_fresh!r}")
-    objective = float(r @ r) / (2.0 * n) + pen_fresh
-    return FitResult(
+    objective = float(r.dot(r)) / n2 + pen_fresh
+    fit = FitResult(
         beta=beta,
         support=np.flatnonzero(beta),
         objective=objective,
@@ -338,13 +379,15 @@ def _cd_fit(design, y, penalty: PenaltySpec, init, tol, max_iter):
         penalty=penalty,
         sweep_objectives=np.asarray(objs),
     )
+    return fit, r, grad
 
 
 def fit_combined(prob: RegressionProblem, spec: PenaltySpec, *, init=None, tol: float = 1e-7,
                  max_iter: int = 1000) -> FitResult:
     """Cyclic coordinate descent where every update is the exact scalar global
     minimizer for the combined penalty spec; the lasso is spec = PenaltySpec("l1", lam)."""
-    return _cd_fit(_design(prob.X), prob.y, spec, init, tol, max_iter)
+    design = _design(prob.X)
+    return _cd_fit(design, prob.y, spec, _start(design[0], prob.y, init), tol, max_iter)[0]
 
 
 def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=None,
@@ -353,17 +396,18 @@ def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=No
 
     Every fit uses spec with its level lam replaced by the grid value;
     lambda0 and the shape come from spec. The first fit starts from init
-    (zero when None), each later one from the fit before. Per-fit
-    nonconvergence is recorded in the fit flags; the path never aborts.
+    (zero when None), each later one from the fit before, with that fit's
+    certified residual and gradient. Per-fit nonconvergence is recorded in
+    the fit flags; the path never aborts.
     """
     grid = level_grid(lambda_grid)
     fits: list[FitResult] = []
     design = _design(prob.X)
-    beta = init
+    start = _start(design[0], prob.y, init)
     for lam in grid:
-        fit = _cd_fit(design, prob.y, replace(spec, lam=float(lam)), beta, tol, max_iter)
+        fit, r, grad = _cd_fit(design, prob.y, replace(spec, lam=float(lam)), start, tol, max_iter)
         fits.append(fit)
-        beta = fit.beta
+        start = fit.beta.copy(), r, grad
     return PathResult(lambdas=grid, fits=fits)
 
 
@@ -424,7 +468,7 @@ def lasso_homotopy(prob: RegressionProblem, levels, *, tol: float = 1e-7,
             beta[act] = u - level * d
             spec = PenaltySpec("l1", level)
             zero_zone = zero_threshold(spec) * (1.0 - ZERO_MARGIN)
-            if not _certificate(Xf, y, beta, make_prox(spec), zero_zone, tol)[2]:
+            if not _certificate(Xf, y, beta, make_prox(spec), zero_zone, tol)[3]:
                 return out
             out.append(beta)
         steps += 1

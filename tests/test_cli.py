@@ -64,6 +64,19 @@ def test_fit_huge_lambda_all_zero(tmp_path):
     assert all(float(r[1]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("kind", ["hard", "l1", "scad"])
+def test_fit_overflowing_lambda_exits_1_without_output(tmp_path, capsys, kind):
+    # lam**2 overflows a float at lam = 1e200
+    dpath, rpath, _, _ = make_data(tmp_path, n=20, p=5)
+    out = tmp_path / "fit.csv"
+    rc = main(["fit", str(dpath), str(rpath), "--penalty", kind, "--lambda", "1e200",
+               "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fit_score_roundtrip(tmp_path, capsys):
     dpath, rpath, _, _ = make_data(tmp_path)
     out = tmp_path / "fit.csv"

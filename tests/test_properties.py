@@ -8,7 +8,8 @@ coordinate visits whose outcome is known.
 """
 
 import math
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def assert_same_fit(a, b, sign=1.0):
     assert a.converged == b.converged
 
 
+def assert_identical_fits(a, b):
+    """Every FitResult field equal bit for bit (so -0.0 differs from 0.0)."""
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
+        elif isinstance(x, float):
+            assert struct.pack("<d", x) == struct.pack("<d", y), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
 @SMALL
 @given(problems())
 def test_negating_y_negates_beta(case):
@@ -81,9 +94,11 @@ def test_path_fit_equals_fit_combined(case, levels):
     grid = sorted(levels, reverse=True)
     init = np.zeros(prob.X.shape[1])
     path = fit_path(prob, spec, grid, init=init)
+    # each path fit starts from the residual and gradient its predecessor
+    # certified; a fresh fit recomputes them from the same beta
     for lam, fit in zip(grid, path.fits):
         direct = fit_combined(prob, replace(spec, lam=lam), init=init)
-        assert_same_fit(fit, direct)
+        assert_identical_fits(fit, direct)
         init = fit.beta
 
 

@@ -1,13 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from l1concave.penalty import (KINDS, PenaltySpec, check_shape_conditions, derivative_at_zero,
                                penalty_derivative)
-from l1concave.scalar_prox import (ZERO_MARGIN, _real_cubic_roots, combined_objective,
+from l1concave.scalar_prox import (ZERO_MARGIN, _largest_cubic_root, combined_objective,
                                    level_for_threshold, make_prox, prox_combined,
                                    prox_oracle, zero_threshold)
 
@@ -203,11 +204,145 @@ def test_cubic_roots_against_numpy():
     rng = np.random.default_rng(14)
     for _ in range(3000):
         b2, b1, b0 = rng.uniform(-5.0, 5.0, size=3)
-        mine = _real_cubic_roots(b2, b1, b0)
-        ref = [r.real for r in np.roots([1.0, b2, b1, b0]) if abs(r.imag) < 1e-9]
-        for r in ref:
+        ref = sorted(r.real for r in np.roots([1.0, b2, b1, b0]) if abs(r.imag) < 1e-9)
+        # a cut halfway to the next root up isolates each root as the largest below it
+        for k, r in enumerate(ref):
             scale = max(1.0, abs(r))
-            assert min(abs(r - m) for m in mine) <= 1e-6 * scale
+            if k + 1 < len(ref) and ref[k + 1] - r < 1e-4 * scale:
+                continue
+            hi = 0.5 * (r + ref[k + 1]) if k + 1 < len(ref) else math.inf
+            got = _largest_cubic_root(b2, b1, b0, -math.inf, hi)
+            assert got is not None and abs(got - r) <= 1e-6 * scale
+        margin = 1e-3 * max(1.0, abs(ref[0]), abs(ref[-1]))
+        assert _largest_cubic_root(b2, b1, b0, -math.inf, ref[0] - margin) is None
+        assert _largest_cubic_root(b2, b1, b0, ref[-1] + margin, math.inf) is None
+
+
+def _frozen_cubic_roots(b2, b1, b0, taken):
+    """The sica prox's cubic solver as it was before its list-free rewrite;
+    adds the branch it takes to the set taken."""
+    shift = b2 / 3.0
+    p = b1 - b2 * b2 / 3.0
+    q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
+    disc = 0.25 * q * q + p**3 / 27.0
+    if disc > 0.0:
+        taken.add("one root")
+        s = math.sqrt(disc)
+        u = math.copysign(abs(-0.5 * q + s) ** (1.0 / 3.0), -0.5 * q + s)
+        v = math.copysign(abs(-0.5 * q - s) ** (1.0 / 3.0), -0.5 * q - s)
+        return [u + v - shift]
+    if p >= 0.0:
+        taken.add("triple root")
+        return [-shift]
+    taken.add("three roots")
+    m = 2.0 * math.sqrt(-p / 3.0)
+    arg = 3.0 * q / (p * m)
+    arg = min(1.0, max(-1.0, arg))
+    theta = math.acos(arg) / 3.0
+    return [m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in range(3)]
+
+
+def frozen_sica_prox(lam, l0, a, z, taken):
+    """The sica prox as it was before its list-free rewrite, with q, p' and
+    p as closures; adds the branches it takes to the set taken."""
+    coef = lam * a * (a + 1.0)
+    c = lam * (a + 1.0)
+
+    def pval(t):
+        return c * t / (a + t)
+
+    def pderiv(b):
+        return coef / (a + b) ** 2
+
+    def q(az, b):
+        return 0.5 * (az - b) ** 2 + l0 * b + pval(b)
+
+    deriv0 = coef / (a * a)
+    az = abs(z)
+    if az == 0.0:
+        return 0.0
+    w = az - l0
+    q0 = q(az, 0.0)
+    best = 0.0
+    roots = [r for r in _frozen_cubic_roots(2.0 * a - w, a * a - 2.0 * a * w,
+                                            coef - w * a * a, taken)
+             if -1e-12 <= r <= az * (1.0 + 1e-12) + 1e-300]
+    if roots:
+        b = min(max(max(roots), 0.0), az)
+        for _ in range(2):
+            g = b - w + pderiv(b)
+            h = 1.0 - 2.0 * coef / (a + b) ** 3
+            if h <= 1e-12:
+                break
+            b = min(max(b - g / h, 0.0), az)
+        if q(az, b) < q0:
+            best = b
+    if best == 0.0 and w > deriv0:
+        taken.add("bisection")
+        lo, hi = 0.0, w
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if mid - w + pderiv(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if q(az, lo) < q0:
+            best = lo
+    return math.copysign(best, z)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def sica_cases(draw):
+    """(lam, lambda0, shape, z) aimed at every branch of the sica prox: plain
+    draws take the one-root and three-root branches; lam = 0 with
+    |z| - lambda0 = -a on dyadic values makes the cubic a triple root exactly;
+    lam next to a^2 / (2 (a + 1)) with |z| - lambda0 just above p'(0+) puts a
+    double root near zero, which the cubic solver can miss, so that bisection
+    takes over."""
+    family = draw(st.sampled_from(("plain", "triple", "double")))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if family == "plain":
+        return (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.05, 2.0)),
+                sign * draw(st.floats(0.0, 3.0)))
+    if family == "triple":
+        a, t = draw(st.integers(1, 16)) / 8.0, draw(st.integers(1, 16)) / 8.0
+        return 0.0, a + t, a, sign * t
+    a, l0 = draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 0.5))
+    lam = a * a / (2.0 * (a + 1.0)) * (1.0 + draw(st.floats(-1.0, 1.0))
+                                       * 10.0 ** -draw(st.floats(2.0, 16.0)))
+    w = lam * (a + 1.0) / a * (1.0 + 10.0 ** -draw(st.floats(2.0, 16.0)))
+    return lam, l0, a, sign * (w + l0)
+
+
+@settings(max_examples=600, deadline=None)
+@given(sica_cases())
+def test_sica_prox_equals_its_frozen_copy_bit_for_bit(case):
+    lam, l0, a, z = case
+    taken = set()
+    want = frozen_sica_prox(lam, l0, a, z, taken)
+    for branch in sorted(taken):
+        event(branch)
+    assert bits(make_prox(PenaltySpec("sica", lam, lambda0=l0, shape=a))(z)) == bits(want)
+
+
+@pytest.mark.parametrize("branch, case", [
+    ("one root", (0.8132702392002724, 0.45637778863886086, 1.2329397627460008, 1.3769793659039902)),
+    ("three roots", (0.6369616873214543, 0.13489335688193516, 0.1298983716755797, -2.900834186828825)),
+    ("triple root", (0.0, 0.75, 0.5, -0.25)),
+    ("bisection", (0.20434077033667025, 0.4138512969102209, 0.8754865754965225, 0.8515945842652483)),
+])
+def test_sica_prox_equals_its_frozen_copy_on_every_branch(branch, case):
+    lam, l0, a, z = case
+    taken = set()
+    want = frozen_sica_prox(lam, l0, a, z, taken)
+    assert branch in taken
+    assert bits(make_prox(PenaltySpec("sica", lam, lambda0=l0, shape=a))(z)) == bits(want)
 
 
 def test_combined_objective_vectorized():
