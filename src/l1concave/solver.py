@@ -11,19 +11,21 @@ maintained residual and a running penalty sum, both updated per changed
 coordinate, and a rise is an internal error, as is a running sum that drifts
 from its recomputation at the fit's end. Sweeps run in fixed ascending
 coordinate order on Python floats, over column views of a Fortran copy of
-the design that fit_path builds once for all its fits. A screening pass (one matvec plus the zero-entry
-threshold of the scalar prox) restricts work to an active set between full
-sweeps; convergence is only declared after a full sweep changes no
-coefficient by tol or more. The full sweep skips a zero coordinate only when
+the design. A screening pass (one matvec plus the zero-entry threshold of
+the scalar prox) restricts work to an active set between full sweeps;
+convergence is only declared after a full sweep changes no coefficient by
+tol or more. The full sweep skips a zero coordinate only when
 its target provably stays inside the prox's zero zone (below
 zero_threshold * (1 - ZERO_MARGIN)), bounding the target by the matvec at
 the start of the sweep plus the total coefficient change since, so it makes
 exactly the updates a sweep over all coordinates would. The certificate
 recomputes the residual and the gradient from scratch and checks the
 coordinatewise-global condition prox(grad_j + b_j) = b_j on every
-coordinate not provably in the zero zone. Along a path, each fit starts from
-the residual and gradient its predecessor's certificate computed, the arrays
-a fresh start from the same beta would compute.
+coordinate not provably in the zero zone. One engine runs a whole path,
+setting up the design copy, its buffers and a float mirror of beta once;
+each level starts from the beta, residual and gradient its predecessor's
+certificate computed, the arrays a fresh start from the same beta would
+compute. A single fit is a one-level path.
 
 The lasso alone also has an exact path solver, lasso_homotopy, which the
 cross-validation folds use; every beta it returns passes the same
@@ -196,13 +198,21 @@ def objective_value(X, y, beta, p: PenaltySpec) -> float:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     beta = np.asarray(beta, dtype=float).ravel()
-    r = y - X @ beta
-    return float(r @ r) / (2.0 * X.shape[0]) + _penalty_sum(beta, p)
+    r, ab = y - X @ beta, np.abs(beta)
+    pen = p.lambda0 * ab.sum() + penalty_value(p, ab).sum()
+    return float(r @ r) / (2.0 * X.shape[0]) + float(pen)
 
 
-def _penalty_sum(beta, p: PenaltySpec) -> float:
+def _penalty_sum(beta, p: PenaltySpec, pval) -> float:
+    """lambda0 ||beta||_1 + sum_j p(|b_j|) as objective_value sums it, bit for
+    bit: the array penalty_value(p, |beta|) is built from pval = scalar_value(p),
+    evaluated only on the support and once at 0.0."""
     ab = np.abs(beta)
-    return float(p.lambda0 * ab.sum() + penalty_value(p, ab).sum())
+    v = np.empty(ab.size)
+    v.fill(pval(0.0))
+    nz = ab.nonzero()[0]
+    v[nz] = [pval(t) for t in ab[nz].tolist()]
+    return float(p.lambda0 * ab.sum() + v.sum())
 
 
 def _design(X):
@@ -226,7 +236,7 @@ def _certificate(Xf, y, beta, prox, zero_zone, tol):
     r = y - Xf.dot(beta)
     grad = Xf.T.dot(r) / Xf.shape[0]
     ag = np.abs(grad)
-    check = np.flatnonzero((beta != 0.0) | (ag > zero_zone))
+    check = ((beta != 0.0) | (ag > zero_zone)).nonzero()[0]
     cw_dev = max((abs(prox(g + b) - b) for g, b in zip(grad[check].tolist(), beta[check].tolist())),
                  default=0.0)
     return r, grad, float(ag.max()), cw_dev < 10.0 * tol
@@ -249,12 +259,14 @@ def _start(Xf, y, init):
     return beta, r, Xf.T.dot(r) / Xf.shape[0]
 
 
-def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
+def _cd_path(design, y, specs, start, tol, max_iter):
     """Shared coordinate-descent engine on the _design of a standardized X.
 
-    Runs from start = (beta, r, grad) as _start builds it, updating beta and r
-    in place; returns the fit with its certificate's residual and gradient,
-    which are the start of a fit from the same beta."""
+    Fits each penalty of specs in turn, the first from start = (beta, r, grad)
+    as _start builds it and each later one from the fit before, with that
+    fit's certified residual and gradient: the arrays a fresh start from the
+    same beta would compute. Updates beta and r in place and yields one
+    FitResult per penalty, each with its own copy of beta."""
     _check_settings(tol, max_iter)
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
@@ -262,15 +274,6 @@ def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
     n, p = Xf.shape
     beta, r, grad = start
     bl = beta.tolist()  # float mirror of beta for the sweep loop
-    prox = make_prox(penalty)
-    pval, l0 = scalar_value(penalty), penalty.lambda0
-    # term[j] = lambda0 |b_j| + p(|b_j|), so an update evaluates p once
-    term = [l0 * 0.0 + pval(0.0)] * p
-    for j in np.flatnonzero(beta).tolist():
-        abj = abs(bl[j])
-        term[j] = l0 * abj + pval(abj)
-    zthr = zero_threshold(penalty)
-    zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
 
     # |x_j'x_k| / n <= 1 + col_dev (Cauchy-Schwarz); fp bounds the rounding of
     # the dot products and residual updates relative to the residual's scale
@@ -278,10 +281,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
     grow = (1.0 + col_dev) * (1.0 + fp)
     buf, mul, add = np.empty(n), np.multiply, np.add
     no_room = [-math.inf] * p  # the active-set sweeps skip nothing
-    pen, bb = _penalty_sum(beta, penalty), float(beta.dot(beta))  # running sums
     n2, c4 = 2.0 * n, 4.0 * col_dev
-    prev_obj = start_obj = float(r.dot(r)) / n2 + pen
-    objs = [prev_obj]
 
     def sweep(idx, room, cap=math.inf) -> float:
         # room[j] is how far |z_j| sat below the zero zone's edge, less a
@@ -290,7 +290,7 @@ def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
         # sweep, cannot have lifted |z_j| out of the zone. idx may leave out
         # zero coordinates with room[j] >= cap: once bound passes cap, its
         # tail becomes every later coordinate (the loop reads idx by position)
-        nonlocal pen, bb
+        nonlocal pen, bb, rr, prev_obj
         delta = drift = bound = 0.0
         for j in idx:
             bj = bl[j]
@@ -316,11 +316,10 @@ def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
                     cap = math.inf
                 if d > delta:
                     delta = d
-        return delta
-
-    def check_objective():
-        nonlocal prev_obj
-        obj = float(r.dot(r)) / n2 + pen
+        # the objective may not rise across a sweep; rr = r'r is kept for the
+        # closing full sweep's rounding guard
+        rr = float(r.dot(r))
+        obj = rr / n2 + pen
         slack = 1e-12 * max(1.0, abs(prev_obj)) + c4 * (1.0 + bb)
         if obj > prev_obj + slack:
             raise RuntimeError(
@@ -329,57 +328,70 @@ def _cd_fit(design, y, penalty: PenaltySpec, start, tol, max_iter):
             )
         prev_obj = obj
         objs.append(obj)
+        return delta
 
-    sweeps = 0
-    converged = False
-    z = grad + beta  # the first screen reads the start's gradient
-    while True:
-        az = np.abs(z)
-        active = np.flatnonzero((beta != 0.0) | (az > zthr)).tolist()
-        if active:
-            while sweeps < max_iter:
-                sweeps += 1
-                delta = sweep(active, no_room)
-                check_objective()
-                if delta < tol:
-                    break
-        if sweeps >= max_iter:
-            break
-        if active:  # else beta is 0 and az already equals |X'r| / n bit for bit
-            az = np.abs(Xf.T.dot(r)) / n
-        sweeps += 1
-        rounding = fp * math.sqrt(float(r.dot(r)) / n)
-        room = zero_zone - rounding - az
-        # the zeros this sweep skips for as long as bound <= cap
-        out = (beta == 0.0) & (room >= 0.0)
-        cap = float(room[out].min()) if out.any() else math.inf
-        delta = sweep(np.flatnonzero(~out).tolist(), room, cap)
-        check_objective()
-        if delta < tol:
-            converged = True
-            break
-        if sweeps >= max_iter:
-            break
-        z = Xf.T.dot(r) / n + beta
+    for penalty in specs:
+        prox = make_prox(penalty)
+        pval, l0 = scalar_value(penalty), penalty.lambda0
+        # term[j] = lambda0 |b_j| + p(|b_j|), so an update evaluates p once
+        term = [l0 * 0.0 + pval(0.0)] * p
+        for j in beta.nonzero()[0].tolist():
+            abj = abs(bl[j])
+            term[j] = l0 * abj + pval(abj)
+        zthr = zero_threshold(penalty)
+        zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
+        pen, bb = _penalty_sum(beta, penalty, pval), float(beta.dot(beta))  # running sums
+        rr = float(r.dot(r))
+        prev_obj = start_obj = rr / n2 + pen
+        objs = [prev_obj]
 
-    r, grad, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
-    pen_fresh = _penalty_sum(beta, penalty)
-    if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
-        raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
-                           f"recomputation {pen_fresh!r}")
-    objective = float(r.dot(r)) / n2 + pen_fresh
-    fit = FitResult(
-        beta=beta,
-        support=np.flatnonzero(beta),
-        objective=objective,
-        iterations=sweeps,
-        converged=converged,
-        kkt_inf=kkt_inf,
-        coordinatewise_global=bool(converged and certified),
-        penalty=penalty,
-        sweep_objectives=np.asarray(objs),
-    )
-    return fit, r, grad
+        sweeps = 0
+        converged = False
+        z = grad + beta  # the first screen reads the start's gradient
+        while True:
+            az = np.abs(z)
+            active = ((beta != 0.0) | (az > zthr)).nonzero()[0].tolist()
+            if active:
+                while sweeps < max_iter:
+                    sweeps += 1
+                    delta = sweep(active, no_room)
+                    if delta < tol:
+                        break
+            if sweeps >= max_iter:
+                break
+            if active:  # else beta is 0 and az already equals |X'r| / n bit for bit
+                az = np.abs(Xf.T.dot(r)) / n
+            sweeps += 1
+            rounding = fp * math.sqrt(rr / n)  # r is unchanged since rr was taken
+            room = zero_zone - rounding - az
+            # the zeros this sweep skips for as long as bound <= cap
+            out = (beta == 0.0) & (room >= 0.0)
+            skip = room[out]
+            cap = float(skip.min()) if skip.size else math.inf
+            delta = sweep((~out).nonzero()[0].tolist(), room, cap)
+            if delta < tol:
+                converged = True
+                break
+            if sweeps >= max_iter:
+                break
+            z = Xf.T.dot(r) / n + beta
+
+        r, grad, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
+        pen_fresh = _penalty_sum(beta, penalty, pval)
+        if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
+            raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
+                               f"recomputation {pen_fresh!r}")
+        yield FitResult(
+            beta=beta.copy(),
+            support=beta.nonzero()[0],
+            objective=float(r.dot(r)) / n2 + pen_fresh,
+            iterations=sweeps,
+            converged=converged,
+            kkt_inf=kkt_inf,
+            coordinatewise_global=bool(converged and certified),
+            penalty=penalty,
+            sweep_objectives=np.asarray(objs),
+        )
 
 
 def fit_combined(prob: RegressionProblem, spec: PenaltySpec, *, init=None, tol: float = 1e-7,
@@ -387,7 +399,7 @@ def fit_combined(prob: RegressionProblem, spec: PenaltySpec, *, init=None, tol: 
     """Cyclic coordinate descent where every update is the exact scalar global
     minimizer for the combined penalty spec; the lasso is spec = PenaltySpec("l1", lam)."""
     design = _design(prob.X)
-    return _cd_fit(design, prob.y, spec, _start(design[0], prob.y, init), tol, max_iter)[0]
+    return next(_cd_path(design, prob.y, [spec], _start(design[0], prob.y, init), tol, max_iter))
 
 
 def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=None,
@@ -401,13 +413,9 @@ def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=No
     the fit flags; the path never aborts.
     """
     grid = level_grid(lambda_grid)
-    fits: list[FitResult] = []
     design = _design(prob.X)
-    start = _start(design[0], prob.y, init)
-    for lam in grid:
-        fit, r, grad = _cd_fit(design, prob.y, replace(spec, lam=float(lam)), start, tol, max_iter)
-        fits.append(fit)
-        start = fit.beta.copy(), r, grad
+    specs = [replace(spec, lam=float(lam)) for lam in grid]
+    fits = list(_cd_path(design, prob.y, specs, _start(design[0], prob.y, init), tol, max_iter))
     return PathResult(lambdas=grid, fits=fits)
 
 

@@ -27,35 +27,24 @@ class SelectionResult:
     chosen_index: int
     criterion_values: np.ndarray
     fold_warnings: int = 0
-    floored: tuple[int, ...] = ()
     cd_levels: int = 0
     nonconverged: int = 0
 
 
 def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
     """Pick the path point minimizing BIC(k) = n log(RSS_k / n) + ||b_k||_0 log n,
-    recomputed from scratch; ties go to the larger lambda.
-
-    RSS/n is floored at 1e-300; the indices of floored fits are kept in
-    `floored` so callers can flag interpolating fits.
+    recomputed from scratch; ties go to the larger lambda. RSS/n is floored at
+    1e-300, so an interpolating fit gets a finite criterion.
     """
     if not path.fits:
         raise ValueError("path is empty")
     n = len(prob.y)
     vals = np.empty(len(path.fits))
-    floored = []
     for k, fit in enumerate(path.fits):
         r = prob.y - prob.X @ fit.beta
-        rss_n = float(r @ r) / n
-        if rss_n < _RSS_FLOOR:
-            rss_n = _RSS_FLOOR
-            floored.append(k)
+        rss_n = max(float(r @ r) / n, _RSS_FLOOR)
         vals[k] = n * math.log(rss_n) + fit.nnz * math.log(n)
-    return SelectionResult(
-        chosen_index=int(np.argmin(vals)),
-        criterion_values=vals,
-        floored=tuple(floored),
-    )
+    return SelectionResult(chosen_index=int(np.argmin(vals)), criterion_values=vals)
 
 
 def fold_assignment(n: int, folds: int, seed: int) -> np.ndarray:

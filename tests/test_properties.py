@@ -102,6 +102,24 @@ def test_path_fit_equals_fit_combined(case, levels):
         init = fit.beta
 
 
+def test_each_path_fit_owns_its_beta():
+    X, _ = standardize(gen_design(40, 30, 0.5, 11))
+    y = X @ study_beta0(30) + 0.3 * np.random.default_rng(3).standard_normal(40)
+    prob, spec = RegressionProblem(X, y), PenaltySpec("scad", 0.3, lambda0=0.05)
+    init = fit_combined(prob, PenaltySpec("l1", 0.2)).beta
+    kept = init.copy()
+    path = fit_path(prob, spec, default_lambda_grid(X, y, 6, 0.05), init=init)
+    betas = [fit.beta for fit in path.fits]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(betas + [init])
+                   for b in betas[i + 1:])
+    later = [beta.copy() for beta in betas]
+    betas[0][:] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(betas[1:], later[1:]))
+    assert np.array_equal(init, kept)
+    # a single fit is the one-level path
+    assert_identical_fits(fit_combined(prob, spec), fit_path(prob, spec, [spec.lam]).fits[0])
+
+
 def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000):
     """The coordinate-descent engine without the zero-skip screen: every full
     sweep visits all p coordinates and the certificate checks all of them.
@@ -268,3 +286,15 @@ def test_first_study_level_from_zero_is_exactly_zero(case, c, log_scale):
     fit = fit_combined(RegressionProblem(prob.X, y), replace(spec, lam=float(lam)))
     assert not fit.beta.any()
     assert fit.converged and fit.coordinatewise_global
+
+
+def test_hypothesis_draws_no_literals_from_the_package_source():
+    # conftest.py empties hypothesis's pool of literals scanned from local
+    # modules, so editing a literal in the package cannot change the examples
+    # these properties run
+    from hypothesis.internal.conjecture import providers
+
+    import l1concave  # noqa: F401 - every package module is loaded
+
+    pool = providers._get_local_constants()
+    assert not any(pool.set_for_type(t) for t in ("integer", "float", "bytes", "string"))

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from l1concave import scalar_prox, solver
-from l1concave.penalty import PenaltySpec
+from l1concave.penalty import KINDS, PenaltySpec, penalty_value, scalar_value
 from l1concave.scalar_prox import prox_combined
 from l1concave.solver import (DegenerateColumnError, RegressionProblem,
                               default_lambda_grid, fit_combined,
@@ -234,9 +235,9 @@ def test_running_penalty_sum_is_checked_against_its_recomputation(monkeypatch):
     for rel, raises in ((1e-6, True), (1e-12, False)):
         calls = []
 
-        def skewed(beta, p):
+        def skewed(beta, p, pval):
             calls.append(1)
-            return exact(beta, p) * (1.0 + rel if len(calls) == 2 else 1.0)
+            return exact(beta, p, pval) * (1.0 + rel if len(calls) == 2 else 1.0)
 
         monkeypatch.setattr(solver, "_penalty_sum", skewed)
         if raises:
@@ -245,6 +246,37 @@ def test_running_penalty_sum_is_checked_against_its_recomputation(monkeypatch):
         else:
             fit_combined(prob, spec)
         assert len(calls) == 2
+
+
+@st.composite
+def sparse_betas(draw):
+    """(beta, spec): a penalty of any kind and a beta whose entries are often
+    0.0 or -0.0 and include +-lam and +-a*lam, where hard, scad and mcp
+    change formula."""
+    kind = draw(st.sampled_from(KINDS))
+    shape = {"scad": st.floats(2.1, 5.0), "mcp": st.floats(1.1, 4.0),
+             "sica": st.floats(0.05, 2.0)}.get(kind, st.none())
+    spec = PenaltySpec(kind, draw(st.floats(0.0, 2.0)), lambda0=draw(st.floats(0.0, 1.0)),
+                       shape=draw(shape))
+    kinks = [spec.lam, -spec.lam] + ([spec.shape * spec.lam, -spec.shape * spec.lam]
+                                     if kind in ("scad", "mcp", "sica") else [])
+    entry = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from(kinks), st.floats(-5.0, 5.0))
+    return np.array(draw(st.lists(entry, min_size=1, max_size=40))), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_betas())
+def test_penalty_sum_equals_the_numpy_penalty_bit_for_bit(case):
+    # the engine's running-sum check builds the penalty array from the scalar
+    # penalty on the support; it must sum to exactly the numpy formula
+    beta, spec = case
+    pval = scalar_value(spec)
+    for b in (beta, np.zeros(beta.size), -np.zeros(beta.size)):
+        ab = np.abs(b)
+        want = float(spec.lambda0 * ab.sum() + penalty_value(spec, ab).sum())
+        got = solver._penalty_sum(b, spec, pval)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
 
 def test_coordinatewise_global_certificate():
     spec = PenaltySpec("mcp", 0.3, lambda0=0.1)

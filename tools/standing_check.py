@@ -5,7 +5,7 @@
 Run it on two checkouts (say a commit and its parent) and compare the
 printed lines; the package is imported from the ``src/`` next to this file.
 
-It prints three kinds of digest:
+It prints four kinds of digest:
 
 * the standing study hashes: sha256 of ``repr(run_study(SimConfig(n=80,
   p=200, reps=2, seed=s, methods=...), threads=2).rows)`` for the four
@@ -20,16 +20,25 @@ It prints three kinds of digest:
 * one sha256 over ``l1concave fit`` runs, each followed by an ``l1concave
   score`` run on the fit it wrote: the same 10 designs, every penalty kind,
   and the flag sets none, ``--c 0.25`` and ``--lambda 0.05 --intercept``.
-  Each run contributes as a path run does; a score run writes no CSV.
+  Each run contributes as a path run does; a score run writes no CSV;
+* one sha256 over every field of every fit on the paths that
+  ``simulate._replicate_rows`` fits for the default study methods (16 paths
+  of 50 levels per replicate) at seed 20240817, replicates 0 and 1: arrays as
+  their dtype, shape and bytes, floats and integers packed with ``struct``
+  (so -0.0 differs from 0.0), the penalty as its kind and packed levels. The
+  study hashes see only each BIC-chosen fit's row; this sees every fit,
+  its objective and its per-sweep objectives.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
 import os
+import struct
 import sys
 import tempfile
 
@@ -38,7 +47,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from l1concave import cli  # noqa: E402
+from l1concave import cli, simulate  # noqa: E402
 from l1concave.simulate import SimConfig, run_study  # noqa: E402
 
 STUDY_SEEDS = (20240817, 20240818, 1, 2024)
@@ -50,6 +59,7 @@ SWEEP_KINDS = ("l1", "hard", "scad", "sica")
 SWEEP_FLAGS = ((), ("--cv",), ("--c", "0.25"), ("--c", "0.25", "--cv"))
 FIT_KINDS = ("l1", "hard", "scad", "mcp", "sica")
 FIT_FLAGS = ((), ("--c", "0.25"), ("--lambda", "0.05", "--intercept"))
+PATH_SEED, PATH_REPLICATES = 20240817, 2
 
 
 def study_hash(seed: int) -> str:
@@ -134,6 +144,41 @@ def fit_score_digest(workdir: str) -> tuple[str, int]:
     return digest.hexdigest(), runs
 
 
+def value_bytes(value) -> bytes:
+    """Exact bytes of one FitResult field value."""
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    if isinstance(value, bool):
+        return b"T" if value else b"F"
+    if isinstance(value, int):
+        return struct.pack("<q", value)
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value.kind.encode() + struct.pack("<3d", value.lam, value.lambda0, value.shape)
+
+
+def path_fits_digest() -> tuple[str, int, int]:
+    digest, paths = hashlib.sha256(), []
+    fit_path = simulate.fit_path
+
+    def recording(*args, **kwargs):
+        paths.append(fit_path(*args, **kwargs))
+        return paths[-1]
+
+    simulate.fit_path = recording
+    try:
+        cfg = SimConfig(n=80, p=200, reps=PATH_REPLICATES, seed=PATH_SEED)
+        for r in range(PATH_REPLICATES):
+            simulate._replicate_rows(cfg, r)
+    finally:
+        simulate.fit_path = fit_path
+    fits = [fit for path in paths for fit in path.fits]
+    for fit in fits:
+        for field in dataclasses.fields(fit):
+            digest.update(field.name.encode() + value_bytes(getattr(fit, field.name)))
+    return digest.hexdigest(), len(paths), len(fits)
+
+
 def main() -> int:
     for seed in STUDY_SEEDS:
         print(f"study seed {seed}: {study_hash(seed)}", flush=True)
@@ -141,7 +186,9 @@ def main() -> int:
         digest, runs = sweep_digest(workdir)
         print(f"cli path sweep ({runs} runs): {digest}", flush=True)
         digest, runs = fit_score_digest(workdir)
-    print(f"cli fit and score ({runs} runs): {digest}")
+    print(f"cli fit and score ({runs} runs): {digest}", flush=True)
+    digest, paths, fits = path_fits_digest()
+    print(f"study path fits ({paths} paths, {fits} fits): {digest}")
     return 0
 
 
