@@ -105,7 +105,7 @@ def _load_problem(args):
     X = read_matrix_csv(args.design)
     y = read_vector_csv(args.response)
     if len(y) != X.shape[0]:
-        raise CLIError(f"response length {len(y)} does not match design rows {X.shape[0]}")
+        raise CLIError(f"{args.response}: length {len(y)} does not match design rows {X.shape[0]}")
     offsets = None
     if args.intercept:
         X, y, x_means, y_mean = solver.center(X, y)

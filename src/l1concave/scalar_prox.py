@@ -79,7 +79,6 @@ def _largest_cubic_root(b2: float, b1: float, b0: float, lo: float, hi: float) -
     return top
 
 
-@lru_cache(maxsize=256)
 def make_prox(p: PenaltySpec):
     """Build a fast scalar callable returning the global minimizer for this penalty.
 

@@ -21,11 +21,11 @@ the start of the sweep plus the total coefficient change since, so it makes
 exactly the updates a sweep over all coordinates would. The certificate
 recomputes the residual and the gradient from scratch and checks the
 coordinatewise-global condition prox(grad_j + b_j) = b_j on every
-coordinate not provably in the zero zone. One engine runs a whole path,
-setting up the design copy, its buffers and a float mirror of beta once;
-each level starts from the beta, residual and gradient its predecessor's
-certificate computed, the arrays a fresh start from the same beta would
-compute. A single fit is a one-level path.
+coordinate not provably in the zero zone. One engine runs a whole path from
+init (zero when None), setting up the design copy, its buffers and a float
+mirror of beta once; each later level starts from the beta, residual and
+gradient its predecessor's certificate computed, the arrays a fresh start
+from the same beta would compute. A single fit is a one-level path.
 
 The lasso alone also has an exact path solver, lasso_homotopy, which the
 cross-validation folds use; every beta it returns passes the same
@@ -248,31 +248,23 @@ def _check_settings(tol, max_iter):
                          f"max_iter={max_iter}")
 
 
-def _start(Xf, y, init):
-    """A fit's start (beta, r, grad): init as a fresh array (zero when None),
-    r = y - X beta and grad = n^-1 X'r, the arrays _certificate returns."""
-    p = Xf.shape[1]
+def _cd_path(X, y, specs, init, tol, max_iter):
+    """Shared coordinate-descent engine on a standardized X.
+
+    Fits each penalty of specs in turn, the first from init (zero when None)
+    and each later one from the fit before, with that fit's certified
+    residual and gradient: the arrays a fresh start from the same beta would
+    compute. Yields one FitResult per penalty, each with its own copy of beta."""
+    Xf, cols, col_dev = _design(X)
+    n, p = Xf.shape
     beta = np.zeros(p) if init is None else np.array(init, dtype=float).ravel()
     if beta.size != p:
         raise ValueError("init has wrong length")
     r = y - Xf.dot(beta)
-    return beta, r, Xf.T.dot(r) / Xf.shape[0]
-
-
-def _cd_path(design, y, specs, start, tol, max_iter):
-    """Shared coordinate-descent engine on the _design of a standardized X.
-
-    Fits each penalty of specs in turn, the first from start = (beta, r, grad)
-    as _start builds it and each later one from the fit before, with that
-    fit's certified residual and gradient: the arrays a fresh start from the
-    same beta would compute. Updates beta and r in place and yields one
-    FitResult per penalty, each with its own copy of beta."""
+    grad = Xf.T.dot(r) / n
     _check_settings(tol, max_iter)
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
-    Xf, cols, col_dev = design
-    n, p = Xf.shape
-    beta, r, grad = start
     bl = beta.tolist()  # float mirror of beta for the sweep loop
 
     # |x_j'x_k| / n <= 1 + col_dev (Cauchy-Schwarz); fp bounds the rounding of
@@ -398,8 +390,7 @@ def fit_combined(prob: RegressionProblem, spec: PenaltySpec, *, init=None, tol: 
                  max_iter: int = 1000) -> FitResult:
     """Cyclic coordinate descent where every update is the exact scalar global
     minimizer for the combined penalty spec; the lasso is spec = PenaltySpec("l1", lam)."""
-    design = _design(prob.X)
-    return next(_cd_path(design, prob.y, [spec], _start(design[0], prob.y, init), tol, max_iter))
+    return next(_cd_path(prob.X, prob.y, [spec], init, tol, max_iter))
 
 
 def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=None,
@@ -413,9 +404,8 @@ def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=No
     the fit flags; the path never aborts.
     """
     grid = level_grid(lambda_grid)
-    design = _design(prob.X)
     specs = [replace(spec, lam=float(lam)) for lam in grid]
-    fits = list(_cd_path(design, prob.y, specs, _start(design[0], prob.y, init), tol, max_iter))
+    fits = list(_cd_path(prob.X, prob.y, specs, init, tol, max_iter))
     return PathResult(lambdas=grid, fits=fits)
 
 

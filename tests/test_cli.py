@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from l1concave import scalar_prox
 from l1concave.cli import _STUDY_KEYS, CLIError, main, read_matrix_csv
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
@@ -332,6 +333,93 @@ def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, fla
     assert key in err
     if key in ("test_mode", "cv_folds"):  # a key of an older config fails loudly
         assert f"unknown key '{key}'" in err
+
+
+def bad_input_case(tmp_path, monkeypatch, case):
+    """argv, exit code and the parts its one error line must name, for a bad input."""
+    d, r = (str(f) for f in make_data(tmp_path, n=6, p=3)[:2])
+    bad = tmp_path / "bad.csv"
+    cfg = tmp_path / "study.cfg"
+    study = ["study", "--config", str(cfg), "--report", str(tmp_path / "rep.csv"),
+             "--raw", str(tmp_path / "raw.csv")]
+    out = ["--out", str(tmp_path / "out.csv")]
+    if case == "unopenable_csv":
+        return ["fit", str(tmp_path / "missing.csv"), r, *out], 1, ["cannot open", "missing.csv"]
+    if case == "empty_csv":
+        bad.write_text("")
+        return ["fit", str(bad), r, *out], 1, [str(bad), "empty file"]
+    if case == "blank_line_then_short_row":  # the blank line 3 is skipped, still counted
+        bad.write_text("x0,x1,x2\n1,2,3\n\n4,5\n")
+        return ["fit", str(bad), r, *out], 1, [str(bad), "row 4 has 2 fields, expected 3"]
+    if case == "long_response_row":
+        bad.write_text("y\n1\n2,3\n")
+        return ["fit", d, str(bad), *out], 1, [str(bad), "row 3 has 2 fields, expected 1"]
+    if case == "header_only":
+        bad.write_text("x0,x1,x2\n")
+        return ["fit", str(bad), r, *out], 1, [str(bad), "no data rows"]
+    if case == "two_column_response":
+        write_csv(bad, np.ones((6, 2)), "y,z")
+        return ["fit", d, str(bad), *out], 1, [str(bad), "expected a single column, found 2"]
+    if case == "response_length":
+        write_csv(bad, np.ones((5, 1)), "y")
+        return ["fit", d, str(bad), *out], 1, [str(bad), "length 5", "design rows 6"]
+    if case == "score_fit_shape":
+        write_csv(bad, np.ones((2, 3)), "index,beta,beta_std")
+        return ["score", d, r, "--fit", str(bad)], 1, [str(bad), "expected 3 rows"]
+    if case == "unopenable_config":
+        study[2] = str(tmp_path / "missing.cfg")
+        return study, 1, ["cannot open", "missing.cfg"]
+    if case == "config_line_without_equals":
+        cfg.write_text("n = 20\np 10\n")
+        return study, 1, [str(cfg), "line 2", "expected key = value"]
+    if case == "config_value_does_not_cast":
+        cfg.write_text("n = twenty\n")
+        return study, 1, [str(cfg), "line 1", "bad value for n", "'twenty'"]
+    if case == "audit_s_zero":
+        return ["audit", d, "--s", "0", *out], 1, ["--s must be at least 1"]
+    assert case == "runtime_error"
+    # a prox that returns its target unpenalized raises the objective of the
+    # one-coordinate problem z = 3 at the l1 level 2, which the engine reports
+    write_csv(tmp_path / "d1.csv", [[2.0]], "x0")
+    write_csv(tmp_path / "r1.csv", [[3.0]], "y")
+    monkeypatch.setattr(scalar_prox, "make_prox", lambda spec: (lambda z: z))
+    return (["fit", str(tmp_path / "d1.csv"), str(tmp_path / "r1.csv"), "--penalty", "l1",
+             "--lambda", "2", *out], 2, ["objective increased across a sweep"])
+
+
+@pytest.mark.parametrize("case", [
+    "unopenable_csv", "empty_csv", "blank_line_then_short_row", "long_response_row",
+    "header_only", "two_column_response", "response_length", "score_fit_shape",
+    "unopenable_config", "config_line_without_equals", "config_value_does_not_cast",
+    "audit_s_zero", "runtime_error",
+])
+def test_bad_input_gives_one_error_line_and_no_csv(tmp_path, capsys, monkeypatch, case):
+    argv, code, parts = bad_input_case(tmp_path, monkeypatch, case)
+    before = sorted(tmp_path.glob("*.csv"))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert all(part in captured.err for part in parts), captured.err
+    assert sorted(tmp_path.glob("*.csv")) == before
+
+
+def test_study_seed_flag_overrides_the_config_seed(tmp_path, monkeypatch):
+    from l1concave import cli
+
+    seen, real = [], cli.run_study
+
+    def spy(cfg, threads=1):
+        seen.append(cfg.seed)
+        return real(cfg, threads=1)
+
+    monkeypatch.setattr(cli, "run_study", spy)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("n = 24\np = 10\nreps = 1\nseed = 11\nmethods = oracle\ngrid_size = 8\n"
+                   f"report = {tmp_path/'rep.csv'}\nraw = {tmp_path/'raw.csv'}\n")
+    assert main(["study", "--config", str(cfg)]) == 0
+    assert main(["study", "--config", str(cfg), "--seed", "12"]) == 0
+    assert seen == [11, 12]
 
 
 def test_study_keys_are_the_simconfig_fields_plus_run_keys():

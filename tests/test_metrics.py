@@ -183,6 +183,17 @@ def test_noise_event_check():
     assert noise_event_check(X, eps, 2.5)  # ||X'eps||inf / n = 1 <= 1.25
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: prediction_error(np.zeros(3), np.zeros(3), 1.0, np.eye(2)), "Sigma0 has wrong shape"),
+    (lambda: sparse_eigenvalue(np.eye(3), 0), "k must be at least 1"),
+    (lambda: restricted_eigenvalue_estimate(np.eye(4), 1, samples=0), "samples must be at least 1"),
+    (lambda: noise_event_check(np.ones((5, 2)), np.ones(4), 1.0), "eps length"),
+], ids=["pe_sigma0_shape", "kappa0_k_zero", "re_no_samples", "noise_eps_length"])
+def test_metrics_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_equicorr_closed_form():
     for s in (1, 2, 5, 10):
         assert equicorr_gram_infnorm(s, 0.0) == 1.0

@@ -143,6 +143,21 @@ def test_shape_checks_sica_passes_with_suitable_c1():
     assert rep.passes
 
 
+def test_shape_checks_mcp_fails_only_threshold_derivative():
+    # p'((1 - c1) lam) = lam - (1 - c1) lam / a exceeds c1 lam for every a > 1,
+    # while mcp's -p'' = 1/a is constant below a lam
+    lam, c1 = 1.0, 0.5
+    rep = check_shape_conditions(PenaltySpec("mcp", lam, shape=3.0), c1)
+    assert rep.failed_checks == ((CHECK_THRESHOLD_DERIVATIVE, (1.0 - c1) * lam),)
+
+
+def test_shape_checks_sica_with_a_large_level_fails_domination_of_hard():
+    rep = check_shape_conditions(PenaltySpec("sica", 3.0, shape=0.1), 0.5)
+    assert [name for name, _ in rep.failed_checks] == [CHECK_DOMINATES_HARD]
+    assert rep.failed_checks[0][1] == pytest.approx(1.306, abs=1e-3)
+    assert check_shape_conditions(PenaltySpec("sica", 2.0, shape=0.1), 0.5).passes
+
+
 def test_shape_checks_validation():
     p = PenaltySpec("hard", 0.5)
     with pytest.raises(ValueError):

@@ -54,6 +54,13 @@ def test_gen_response():
     assert resid.var() == pytest.approx(0.49, rel=0.1)
 
 
+def test_generators_reject_bad_arguments():
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
+        gen_design(10, 3, 1.0, seed=1)
+    with pytest.raises(ValueError, match="beta0 length does not match columns of X"):
+        gen_response(np.ones((10, 3)), np.ones(4), 0.5, seed=1)
+
+
 def test_combined_lambda_grid_threshold_mapping():
     lam0, lasso = 0.05, np.geomspace(1.2, 0.05 * 1.2, 20)
     g_hard = combined_lambda_grid(PenaltySpec("hard", 0.0, lambda0=lam0), lasso)

@@ -82,6 +82,19 @@ def test_default_lambda_grid():
             default_lambda_grid(X, y, num=num, ratio=ratio)
 
 
+def test_universal_lambda0_needs_a_row():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        universal_lambda0(0, 10, 1.0)
+
+
+def test_default_lambda_grid_starts_at_one_when_x_y_is_zero():
+    # y is orthogonal to both Hadamard columns, so lambda_max = ||X'y/n||_inf = 0
+    H = hadamard(4).astype(float)
+    grid = default_lambda_grid(H[:, :2], H[:, 2], num=3, ratio=0.5)
+    assert grid[0] == 1.0 and grid[-1] == 0.5
+    assert grid[1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
 @pytest.mark.parametrize("values", [[], [0.1, 0.2], [0.3, 0.3], [0.3, -0.1], [0.0], [math.nan]])
 def test_level_grid_rejects_bad_grids(values):
     with pytest.raises(ValueError, match="nonempty, positive and strictly decreasing"):
@@ -108,6 +121,40 @@ def test_problem_validation():
         fit_combined(prob, spec)
     with pytest.raises(ValueError, match="column 0"):
         fit_path(prob, spec, [0.3, 0.2])
+
+
+@pytest.mark.parametrize("X, message", [
+    (np.ones(3), "X must be a 2-d array"),
+    (np.ones((0, 2)), "at least one row and one column"),
+    (np.ones((3, 0)), "at least one row and one column"),
+], ids=["1-d", "no rows", "no columns"])
+def test_problem_rejects_a_design_that_is_not_a_nonempty_matrix(X, message):
+    with pytest.raises(ValueError, match=message):
+        RegressionProblem(X, np.ones(len(X)))
+
+
+def test_init_of_the_wrong_length_is_rejected():
+    prob, _, _ = random_problem(20, 5, 2, 0.3, seed=3)
+    spec = PenaltySpec("hard", 0.3, lambda0=0.1)
+    for init in (np.zeros(4), np.zeros(6), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="init has wrong length"):
+            fit_combined(prob, spec, init=init)
+        with pytest.raises(ValueError, match="init has wrong length"):
+            fit_path(prob, spec, [0.3, 0.2], init=init)
+
+
+def test_max_iter_reached_on_the_closing_full_sweep():
+    # searched case: the third sweep is the closing full sweep after two
+    # active-set sweeps, and it still moves a coefficient by tol or more, so
+    # the fit stops there; it is the first three sweeps of the unbounded fit
+    prob, _, _ = random_problem(30, 12, 3, 0.3, seed=18)
+    spec = PenaltySpec("hard", 0.3, lambda0=0.05)
+    full = fit_combined(prob, spec)
+    fit = fit_combined(prob, spec, max_iter=3)
+    assert full.converged and full.iterations > 3
+    assert fit.iterations == 3 and not fit.converged and not fit.coordinatewise_global
+    assert np.array_equal(fit.sweep_objectives, full.sweep_objectives[:4])
+    assert not np.array_equal(fit.beta, full.beta)
 
 
 def test_lasso_orthogonal_soft_threshold():

@@ -6,7 +6,7 @@ import pytest
 from l1concave.penalty import PenaltySpec
 from l1concave.simulate import SimConfig, gen_design, gen_response
 from l1concave.solver import (FitResult, PathResult, RegressionProblem, default_lambda_grid,
-                              fit_combined, fit_path, standardize)
+                              fit_combined, fit_path, lasso_homotopy, standardize)
 from l1concave.tuning import bic_select, cv_select, fold_assignment
 
 LASSO = PenaltySpec("l1", 0.0)
@@ -125,6 +125,36 @@ def test_cv_degenerate_fold_skipped():
     prob = RegressionProblem(X, y)
     sel = cv_select(prob, LASSO, np.array([0.2, 0.05]), 4, seed=7)
     assert sel.fold_warnings == 1
+
+
+def test_bic_rejects_an_empty_path():
+    with pytest.raises(ValueError, match="path is empty"):
+        bic_select(PathResult(lambdas=np.array([]), fits=[]), lasso_problem(10, 3, seed=1))
+
+
+def test_cv_with_every_fold_degenerate_raises():
+    # leave-one-out on sqrt(n) I: each training design loses the one row
+    # where its left-out column is nonzero
+    n = 5
+    prob = RegressionProblem(math.sqrt(n) * np.eye(n), np.arange(n, dtype=float))
+    with pytest.raises(ValueError, match="every fold was degenerate"):
+        cv_select(prob, LASSO, np.array([1.0, 0.5]), n)
+
+
+def test_cv_fits_by_cd_the_levels_the_homotopy_cannot_certify():
+    # at tol = 1e-20 the check |prox(grad_j + b_j) - b_j| < 10 tol rejects the
+    # first nonzero homotopy beta here; only tol differs between the two
+    # calls, and of the homotopy's early returns only the certificate reads it
+    rng = np.random.default_rng(0)
+    X, _ = standardize(rng.standard_normal((30, 12)))
+    y = X @ (rng.standard_normal(12) * (rng.random(12) < 0.4)) + 0.5 * rng.standard_normal(30)
+    prob = RegressionProblem(X, y)
+    grid = default_lambda_grid(X, y, 10, 0.1)
+    assert len(lasso_homotopy(prob, grid)) == 10
+    assert len(lasso_homotopy(prob, grid, tol=1e-20)) == 1
+    assert cv_select(prob, LASSO, grid, 3).cd_levels == 0
+    sel = cv_select(prob, LASSO, grid, 3, tol=1e-20, max_iter=50)
+    assert sel.cd_levels > 0 and np.all(np.isfinite(sel.criterion_values))
 
 
 def test_cv_validation(monkeypatch):
