@@ -12,6 +12,7 @@ order and the number of worker processes.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -245,13 +246,23 @@ def _worker(args) -> list[dict]:
     return _replicate_rows(*args)
 
 
-# thread-count setters of the OpenBLAS builds numpy ships or links against
-_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+# thread-count (setter, getter) pairs of the OpenBLAS builds numpy ships or links
+# against. The study pool's caller runs one OpenBLAS thread while the pool forks,
+# so each worker inherits one and makes no OpenBLAS call: a setter called in a
+# fresh worker restarts OpenBLAS's thread pool there, whose extra thread spins
+# against the other workers for the cores they already keep busy
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
 
 
-def _openblas_function(names):
-    """The first of `names` exported by an OpenBLAS this process has loaded, or None."""
+def _openblas_threads():
+    """The thread-count (setter, getter) of an OpenBLAS this process has
+    loaded, found in one scan of /proc/self/maps, or None (no /proc, MKL,
+    Accelerate)."""
     import ctypes
 
     try:
@@ -261,23 +272,14 @@ def _openblas_function(names):
         libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
         return None
-    return next((getattr(lib, name) for name in names for lib in libs
-                 if hasattr(lib, name)), None)
-
-
-def _one_blas_thread():
-    """Pool initializer: run this worker's OpenBLAS on one thread.
-
-    The pool's workers already keep the cores busy, so a second BLAS thread
-    in a worker only contends with them. Does nothing where no OpenBLAS
-    setter is found (no /proc, MKL, Accelerate).
-    """
-    import ctypes
-
-    setter = _openblas_function(_OPENBLAS_SETTERS)
-    if setter is not None:
-        setter.argtypes, setter.restype = (ctypes.c_int,), None
-        setter(1)
+    for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
+        for lib in libs:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return setter, getter
+    return None
 
 
 def aggregate(rows: list[dict], methods) -> tuple[dict, dict]:
@@ -298,8 +300,10 @@ def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
 
     `threads` worker processes (None: all cores) share the replicates; with
     one thread or one replicate they run in the calling process. Raises
-    ValueError when threads < 1. Pool workers run BLAS on one thread each;
-    the caller's BLAS is left as it is.
+    ValueError when threads < 1. Where the caller runs OpenBLAS, it runs one
+    OpenBLAS thread while its pool runs and gets its own count back once the
+    pool has shut down, also when a worker raises; the workers are forked
+    and inherit that one thread.
     """
     if threads is None:
         threads = os.cpu_count() or 1
@@ -308,9 +312,21 @@ def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
     if threads == 1 or cfg.reps == 1:
         per_rep = [_replicate_rows(cfg, r) for r in range(cfg.reps)]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.reps),
-                                 initializer=_one_blas_thread) as pool:
-            per_rep = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)]))
+        blas, context = _openblas_threads(), None
+        if blas is not None:
+            # fork explicitly: a start method that re-imports (spawn, forkserver)
+            # would give each worker OpenBLAS's default count instead
+            context = multiprocessing.get_context("fork")
+            setter, getter = blas
+            own = getter()
+            setter(1)
+        try:
+            with ProcessPoolExecutor(max_workers=min(threads, cfg.reps),
+                                     mp_context=context) as pool:
+                per_rep = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)]))
+        finally:
+            if blas is not None:
+                setter(own)
     rows = [row for rep in per_rep for row in rep]
     means, ses = aggregate(rows, cfg.methods)
     freq = float(np.mean([rep[0]["noise_event"] for rep in per_rep]))

@@ -1,5 +1,5 @@
-import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -172,18 +172,38 @@ def test_pool_rows_equal_serial_rows_at_desk_size():
 
 
 def _blas_threads():
-    getter = simulate._openblas_function(
-        [name.replace("_set_", "_get_") for name in simulate._OPENBLAS_SETTERS])
-    if getter is None:
-        return None
-    getter.argtypes, getter.restype = (), ctypes.c_int
-    return getter()
+    found = simulate._openblas_threads()
+    return None if found is None else found[1]()
 
 
-def test_pool_workers_run_one_blas_thread_and_caller_is_untouched(monkeypatch):
+@pytest.fixture
+def caller_blas_threads():
+    """The test process runs two OpenBLAS threads, so a count that run_study
+    leaves at one shows; its own count is set back afterwards."""
+    found = simulate._openblas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS thread-count setter and getter in this process")
+    setter, getter = found
+    own = getter()
+    setter(2)
+    yield
+    setter(own)
+
+
+def _probe_worker(args):
+    """simulate._worker whose rows also carry the worker's OpenBLAS thread
+    count and its OS thread count, read after the replicate has run."""
+    rows = simulate._replicate_rows(*args)
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        os_threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+    return [dict(row, blas_threads=_blas_threads(), os_threads=os_threads) for row in rows]
+
+
+def test_pool_workers_run_one_blas_thread_and_caller_is_untouched(monkeypatch,
+                                                                  caller_blas_threads):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to count a worker's OS threads")
     before = _blas_threads()
-    if before is None:
-        pytest.skip("no OpenBLAS thread-count getter in this process")
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
@@ -192,10 +212,30 @@ def test_pool_workers_run_one_blas_thread_and_caller_is_untouched(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(simulate, "_worker", _probe_worker)
     cfg = SimConfig(n=24, p=10, reps=2, seed=11, sigma=0.3, grid_size=8,
                     c_grid=(0.25,), methods=("lasso", "oracle"))
-    run_study(cfg, threads=2)
+    rows = run_study(cfg, threads=2).rows
     assert _blas_threads() == before
-    assert len(pools) == 1 and pools[0]["initializer"] is simulate._one_blas_thread
-    with ProcessPoolExecutor(**pools[0]) as pool:
-        assert pool.submit(_blas_threads).result(timeout=60) == 1
+    # a worker that restarted OpenBLAS would run a second OS thread
+    assert {(row["blas_threads"], row["os_threads"]) for row in rows} == {(1, 1)}
+    assert len(pools) == 1 and pools[0]["mp_context"].get_start_method() == "fork"
+
+
+def test_caller_blas_threads_are_restored_when_a_worker_raises(monkeypatch,
+                                                               caller_blas_threads):
+    before = _blas_threads()
+    replicate_rows = simulate._replicate_rows
+
+    def replicate_1_fails(cfg, r):
+        if r == 1:
+            raise RuntimeError("replicate 1 failed")
+        return replicate_rows(cfg, r)
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(simulate, "_replicate_rows", replicate_1_fails)
+    cfg = SimConfig(n=24, p=10, reps=2, seed=11, sigma=0.3, grid_size=8,
+                    c_grid=(0.25,), methods=("lasso", "oracle"))
+    with pytest.raises(RuntimeError, match="replicate 1 failed"):
+        run_study(cfg, threads=2)
+    assert _blas_threads() == before
