@@ -116,7 +116,7 @@ def _load_problem(args):
 
 def cmd_fit(args) -> int:
     prob, scales, offsets = _load_problem(args)
-    n, p = prob.shape
+    n, p = prob.X.shape
     spec = _penalty_from_args(args, n, p, args.lam)
     fit = fit_combined(prob, spec, tol=args.tol, max_iter=args.max_iter)
     cert = computable_certificate(fit, s_hat=fit.nnz)  # true s unknown: sparsity not reported
@@ -139,7 +139,7 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     prob, scales, _ = _load_problem(args)
-    n, p = prob.shape
+    n, p = prob.X.shape
     spec = _penalty_from_args(args, n, p, args.lam)
     fit_rows = read_matrix_csv(args.fit)
     if fit_rows.shape[0] != p or fit_rows.shape[1] < 3:
@@ -173,7 +173,7 @@ def cmd_path(args) -> int:
     if not 0.0 < args.grid_ratio < 1.0:
         raise CLIError(f"--grid-ratio must lie strictly between 0 and 1, got {args.grid_ratio}")
     prob, scales, _ = _load_problem(args)
-    n, p = prob.shape
+    n, p = prob.X.shape
     spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
@@ -199,7 +199,7 @@ def cmd_path(args) -> int:
     for k, fit in enumerate(path.fits):
         r = prob.y - prob.X @ fit.beta
         rows.append([
-            _fmt(path.lambdas[k]), str(fit.nnz),
+            _fmt(fit.penalty.lam), str(fit.nnz),
             _fmt(np.abs(fit.beta).sum()), _fmt(np.max(np.abs(fit.beta))),
             _fmt(fit.kkt_inf), _fmt(float(r @ r)),
             _fmt(bic.criterion_values[k]), str(int(fit.converged)),
@@ -209,7 +209,7 @@ def cmd_path(args) -> int:
                           "rss", "bic", "converged", "selected"], rows)
     crit = "cv" if args.cv else "bic"
     print(f"path of {len(path.fits)} fits; {crit}-selected index {sel.chosen_index} "
-          f"(lambda={_fmt(path.lambdas[sel.chosen_index])})")
+          f"(lambda={_fmt(path.fits[sel.chosen_index].penalty.lam)})")
     print(f"wrote {args.out}")
     return 0 if all(f.converged for f in path.fits) else 2
 

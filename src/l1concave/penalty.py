@@ -144,25 +144,21 @@ def penalty_derivative(p: PenaltySpec, t):
     Nonincreasing in t by concavity. Raises ValueError for t <= 0.
     """
     t = _check_t(t, positive=True)
-    out = _derivative(p, t)
+    # kinks take the left limit: t = lam for hard/scad, t = a*lam for mcp
+    lam, a = p.lam, p.shape
+    if p.kind == "l1":
+        out = np.full_like(t, lam)
+    elif p.kind == "hard":
+        out = np.where(t < lam, lam - t, 0.0)
+    elif p.kind == "scad":
+        out = np.where(t <= lam, lam, np.where(t < a * lam, (a * lam - t) / (a - 1.0), 0.0))
+    elif p.kind == "mcp":
+        out = np.where(t <= a * lam, lam - t / a, 0.0)
+    else:  # sica
+        out = lam * a * (a + 1.0) / (a + t) ** 2
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def _derivative(p: PenaltySpec, t):
-    # kinks take the left limit: t = lam for hard/scad, t = a*lam for mcp
-    lam, a = p.lam, p.shape
-    t = np.asarray(t, dtype=float)
-    if p.kind == "l1":
-        return np.full_like(t, lam)
-    if p.kind == "hard":
-        return np.where(t < lam, lam - t, 0.0)
-    if p.kind == "scad":
-        return np.where(t <= lam, lam, np.where(t < a * lam, (a * lam - t) / (a - 1.0), 0.0))
-    if p.kind == "mcp":
-        return np.where(t <= a * lam, lam - t / a, 0.0)
-    return lam * a * (a + 1.0) / (a + t) ** 2
 
 
 def derivative_at_zero(p: PenaltySpec) -> float:
@@ -174,7 +170,7 @@ def derivative_at_zero(p: PenaltySpec) -> float:
 
 
 def _second_derivative(p: PenaltySpec, t):
-    # left-limit convention at kinks, matching _derivative
+    # left-limit convention at kinks, matching penalty_derivative
     lam, a = p.lam, p.shape
     t = np.asarray(t, dtype=float)
     if p.kind == "l1":

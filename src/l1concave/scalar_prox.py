@@ -90,23 +90,15 @@ def make_prox(p: PenaltySpec):
     """
     lam, l0, a = p.lam, p.lambda0, p.shape
 
-    if p.kind == "l1":
+    if p.kind in ("l1", "hard"):
+        # sgn(z) (|z| - shift) 1{|z| > lambda0 + lam}, shift = lambda0 + lam
+        # for l1 (soft) and lambda0 for hard; a tie goes to zero (strict >)
         thr = l0 + lam
+        shift = thr if p.kind == "l1" else l0
 
         def prox(z: float) -> float:
             az = abs(z)
-            return math.copysign(az - thr, z) if az > thr else 0.0
-
-        return prox
-
-    if p.kind == "hard":
-        thr = lam + l0
-
-        def prox(z: float) -> float:
-            # sgn(z) (|z| - lambda0) 1{|z| > lam + lambda0}; tie at the
-            # boundary goes to zero (the indicator is strict)
-            az = abs(z)
-            return math.copysign(az - l0, z) if az > thr else 0.0
+            return math.copysign(az - shift, z) if az > thr else 0.0
 
         return prox
 

@@ -83,10 +83,6 @@ class RegressionProblem:
         if not np.all(np.isfinite(self.X)) or not np.all(np.isfinite(self.y)):
             raise ValueError("X and y must be finite")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.X.shape
-
 
 @dataclass
 class FitResult:
@@ -111,8 +107,7 @@ class FitResult:
 class PathResult:
     """Fits along a strictly decreasing concave-level grid, warm-started."""
 
-    lambdas: np.ndarray
-    fits: list[FitResult]
+    fits: list[FitResult]  # fits[k].penalty.lam is level k
 
 
 @dataclass
@@ -403,10 +398,8 @@ def fit_path(prob: RegressionProblem, spec: PenaltySpec, lambda_grid, *, init=No
     certified residual and gradient. Per-fit nonconvergence is recorded in
     the fit flags; the path never aborts.
     """
-    grid = level_grid(lambda_grid)
-    specs = [replace(spec, lam=float(lam)) for lam in grid]
-    fits = list(_cd_path(prob.X, prob.y, specs, init, tol, max_iter))
-    return PathResult(lambdas=grid, fits=fits)
+    specs = [replace(spec, lam=float(lam)) for lam in level_grid(lambda_grid)]
+    return PathResult(fits=list(_cd_path(prob.X, prob.y, specs, init, tol, max_iter)))
 
 
 def lasso_homotopy(prob: RegressionProblem, levels, *, tol: float = 1e-7,

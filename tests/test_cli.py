@@ -9,7 +9,7 @@ from l1concave import scalar_prox
 from l1concave.cli import _STUDY_KEYS, CLIError, main, read_matrix_csv
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
-from l1concave.simulate import SimConfig, combined_lambda_grid, cv_lasso_start
+from l1concave.simulate import SimConfig, _fmt, combined_lambda_grid, cv_lasso_start
 from l1concave.solver import RegressionProblem, default_lambda_grid, fit_path, standardize
 from l1concave.tuning import bic_select, cv_select
 
@@ -161,14 +161,16 @@ def test_nan_rejected(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_path_single_and_marker(tmp_path):
+def test_path_single_and_marker(tmp_path, capsys):
     dpath, rpath, X, y = make_data(tmp_path)
     out = tmp_path / "path.csv"
     rc = main(["path", str(dpath), str(rpath), "--penalty", "hard",
                "--lambda0", "0.05", "--lambdas", "0.4", "--out", str(out)])
     assert rc == 0
-    _, rows = read_rows(out)
+    header, rows = read_rows(out)
     assert len(rows) == 1 and rows[0][-1] == "1"
+    assert rows[0][header.index("lambda")] == _fmt(0.4)
+    assert f"bic-selected index 0 (lambda={_fmt(0.4)})" in capsys.readouterr().out
 
     rc = main(["path", str(dpath), str(rpath), "--penalty", "hard",
                "--lambda0", "0.05", "--grid-size", "8", "--out", str(out)])
@@ -183,6 +185,7 @@ def test_path_single_and_marker(tmp_path):
     path = fit_path(prob, spec, grid, init=start)
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
+    assert [r[header.index("lambda")] for r in rows] == [_fmt(lam) for lam in grid]
 
 
 def test_path_cv_marks_cv_choice(tmp_path, capsys):

@@ -33,6 +33,13 @@ def test_hard_closed_form_examples():
 def test_l1_soft_threshold_example():
     p = PenaltySpec("l1", 0.0, lambda0=0.2)
     assert prox_combined(0.5, p) == pytest.approx(0.3, abs=1e-15)
+    # 0.2 + 0.3 is exactly 0.5: exact values, and the boundary goes to zero
+    p = PenaltySpec("l1", 0.3, lambda0=0.2)
+    assert prox_combined(1.0, p) == 0.5
+    assert prox_combined(-1.0, p) == -0.5
+    assert prox_combined(0.5, p) == 0.0
+    assert math.copysign(1.0, prox_combined(-0.5, p)) == 1.0  # +0.0: not a shrunk -0.0
+    assert prox_combined(0.5 + 1e-6, p) != 0.0
 
 
 def test_zero_input_and_errors():

@@ -372,6 +372,10 @@ def test_fit_path_validation_and_single_point():
     direct = fit_combined(prob, replace(spec, lam=0.3), init=init)
     assert np.array_equal(path.fits[0].beta, direct.beta)
     assert all(fit.penalty.lambda0 == spec.lambda0 for fit in path.fits)
+    # each fit carries its level, the grid value bit for bit
+    grid = [0.3, 0.2, 0.1]
+    levels = [fit.penalty.lam for fit in fit_path(prob, spec, grid).fits]
+    assert struct.pack("<3d", *levels) == struct.pack("<3d", *level_grid(grid))
 
 
 def test_fit_path_all_zero_at_lambda_max():
@@ -478,7 +482,7 @@ def lasso_problems(draw):
 @given(lasso_problems())
 def test_homotopy_is_certified_and_equals_tight_cd(case):
     prob, levels = case
-    n, p = prob.shape
+    n, p = prob.X.shape
     betas = lasso_homotopy(prob, levels)
     if p < n:  # |A| <= p < n: only a singular G_AA could stop it, which needs a tie
         assert len(betas) == levels.size

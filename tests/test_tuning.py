@@ -39,7 +39,7 @@ def test_bic_matches_independent_recompute():
         fit = fit_combined(prob, PenaltySpec("l1", float(lam)), init=beta)
         beta = fit.beta
         fits.append(fit)
-    path = PathResult(lambdas=grid, fits=fits)
+    path = PathResult(fits=fits)
     sel = bic_select(path, prob)
     n = len(prob.y)
     for k, fit in enumerate(fits):
@@ -52,7 +52,7 @@ def test_bic_matches_independent_recompute():
 def test_bic_single_fit_path():
     prob = lasso_problem(20, 5, seed=2)
     fit = fit_combined(prob, PenaltySpec("l1", 0.2))
-    path = PathResult(lambdas=np.array([0.2]), fits=[fit])
+    path = PathResult(fits=[fit])
     assert bic_select(path, prob).chosen_index == 0
 
 
@@ -64,7 +64,7 @@ def test_bic_equal_rss_prefers_sparser():
     prob = RegressionProblem(X, y)
     dense = make_fit([0.2] * 5 + [0.0])
     sparse = make_fit([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-    path = PathResult(lambdas=np.array([0.2, 0.1]), fits=[dense, sparse])
+    path = PathResult(fits=[dense, sparse])
     sel = bic_select(path, prob)
     assert sel.chosen_index == 1
 
@@ -74,7 +74,7 @@ def test_bic_rss_floor_flagged():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     prob = RegressionProblem(X, y)
     exact = make_fit(y)  # interpolating fit, RSS exactly zero
-    path = PathResult(lambdas=np.array([0.1]), fits=[exact])
+    path = PathResult(fits=[exact])
     sel = bic_select(path, prob)
     # RSS/n = 0 is floored at 1e-300: n log(1e-300) + nnz log(n)
     assert sel.criterion_values[0] == 4 * math.log(1e-300) + 4 * math.log(4)
@@ -129,7 +129,7 @@ def test_cv_degenerate_fold_skipped():
 
 def test_bic_rejects_an_empty_path():
     with pytest.raises(ValueError, match="path is empty"):
-        bic_select(PathResult(lambdas=np.array([]), fits=[]), lasso_problem(10, 3, seed=1))
+        bic_select(PathResult(fits=[]), lasso_problem(10, 3, seed=1))
 
 
 def test_cv_with_every_fold_degenerate_raises():
