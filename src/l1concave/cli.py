@@ -28,8 +28,9 @@ import numpy as np
 from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
-from .simulate import (SimConfig, _fmt, _write_csv, combined_lambda_grid, cv_lasso_start,
-                       format_study_table, run_study, write_raw_csv, write_report_csv)
+from .simulate import (SimConfig, _fmt, _one_blas_thread, _write_csv, combined_lambda_grid,
+                       cv_lasso_start, format_study_table, run_study, write_raw_csv,
+                       write_report_csv)
 from .solver import (RegressionProblem, default_lambda_grid, fit_combined, level_grid,
                      objective_value, standardize, computable_certificate,
                      universal_lambda0)
@@ -286,17 +287,20 @@ def cmd_study(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    X = read_matrix_csv(args.design)
     if args.s < 1:
         raise CLIError("--s must be at least 1")
-    se = sparse_eigenvalue(X, min(2 * args.s, X.shape[1]), budget=args.budget,
-                           samples=args.samples, seed=args.seed)
-    re = restricted_eigenvalue_estimate(X, args.s, samples=args.samples, seed=args.seed)
+    if args.samples < 1:
+        raise CLIError("samples must be at least 1")
+    X = read_matrix_csv(args.design)
     n, p = X.shape
-    gram = (X @ X.T if n < p else X.T @ X) / n  # the smaller Gram has the same top eigenvalue
-    phi_max = float(np.linalg.eigvalsh(gram)[-1])
+    with _one_blas_thread():
+        se = sparse_eigenvalue(X, min(2 * args.s, p), budget=args.budget,
+                               samples=args.samples, seed=args.seed)
+        re = restricted_eigenvalue_estimate(X, args.s, samples=args.samples, seed=args.seed)
+        gram = (X @ X.T if n < p else X.T @ X) / n  # the smaller Gram has the same top eigenvalue
+        phi_max = float(np.linalg.eigvalsh(gram)[-1])
     rows = [
-        [f"kappa0_k{min(2 * args.s, X.shape[1])}", _fmt(se.value), se.method, str(se.evaluated)],
+        [f"kappa0_k{min(2 * args.s, p)}", _fmt(se.value), se.method, str(se.evaluated)],
         [f"re_estimate_s{args.s}", _fmt(re), "sampled", str(args.samples)],
         ["phi_max", _fmt(phi_max), "exact", "1"],
     ]

@@ -11,6 +11,7 @@ order and the number of worker processes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -282,6 +283,24 @@ def _openblas_threads():
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread and give the caller its own count
+    back afterwards, also when the body raises; yield whether OpenBLAS was
+    found."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    setter, getter = blas
+    own = getter()
+    setter(1)
+    try:
+        yield True
+    finally:
+        setter(own)
+
+
 def aggregate(rows: list[dict], methods) -> tuple[dict, dict]:
     """Means and standard errors (sample SD / sqrt(reps)) per method and metric."""
     means, ses = {}, {}
@@ -300,35 +319,27 @@ def run_study(cfg: SimConfig, threads: int | None = 1) -> StudyReport:
 
     `threads` worker processes (None: all cores) share the replicates; with
     one thread or one replicate they run in the calling process. Raises
-    ValueError when threads < 1. Where the caller runs OpenBLAS, it runs one
-    OpenBLAS thread while its pool runs and gets its own count back once the
-    pool has shut down, also when a worker raises; the workers are forked
-    and inherit that one thread. Restoring the count restarts OpenBLAS's
-    thread pool in the caller, whose new thread then spins for about 0.13 s
-    of CPU after each pool study.
+    ValueError when threads < 1. Where OpenBLAS is found, the study runs at
+    one OpenBLAS thread, so no threaded call wakes threads that then spin,
+    and the caller gets its own count back, also when a replicate raises.
+    Pool workers are forked and inherit that one thread. Restoring the count
+    after a pool restarts OpenBLAS's thread pool in the caller, whose new
+    thread then spins for about 0.13 s of CPU.
     """
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1 or cfg.reps == 1:
-        per_rep = [_replicate_rows(cfg, r) for r in range(cfg.reps)]
-    else:
-        blas, context = _openblas_threads(), None
-        if blas is not None:
+    with _one_blas_thread() as found:
+        if threads == 1 or cfg.reps == 1:
+            per_rep = [_replicate_rows(cfg, r) for r in range(cfg.reps)]
+        else:
             # fork explicitly: a start method that re-imports (spawn, forkserver)
             # would give each worker OpenBLAS's default count instead
-            context = multiprocessing.get_context("fork")
-            setter, getter = blas
-            own = getter()
-            setter(1)
-        try:
+            context = multiprocessing.get_context("fork") if found else None
             with ProcessPoolExecutor(max_workers=min(threads, cfg.reps),
                                      mp_context=context) as pool:
                 per_rep = list(pool.map(_worker, [(cfg, r) for r in range(cfg.reps)]))
-        finally:
-            if blas is not None:
-                setter(own)
     rows = [row for rep in per_rep for row in rep]
     means, ses = aggregate(rows, cfg.methods)
     freq = float(np.mean([rep[0]["noise_event"] for rep in per_rep]))

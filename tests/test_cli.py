@@ -380,6 +380,9 @@ def bad_input_case(tmp_path, monkeypatch, case):
         return study, 1, [str(cfg), "line 1", "bad value for n", "'twenty'"]
     if case == "audit_s_zero":
         return ["audit", d, "--s", "0", *out], 1, ["--s must be at least 1"]
+    if case == "audit_samples_zero":  # rejected before the design is opened
+        return (["audit", str(tmp_path / "missing.csv"), "--s", "2", "--samples", "0", *out], 1,
+                ["samples must be at least 1"])
     assert case == "runtime_error"
     # a prox that returns its target unpenalized raises the objective of the
     # one-coordinate problem z = 3 at the l1 level 2, which the engine reports
@@ -394,7 +397,7 @@ def bad_input_case(tmp_path, monkeypatch, case):
     "unopenable_csv", "empty_csv", "blank_line_then_short_row", "long_response_row",
     "header_only", "two_column_response", "response_length", "score_fit_shape",
     "unopenable_config", "config_line_without_equals", "config_value_does_not_cast",
-    "audit_s_zero", "runtime_error",
+    "audit_s_zero", "audit_samples_zero", "runtime_error",
 ])
 def test_bad_input_gives_one_error_line_and_no_csv(tmp_path, capsys, monkeypatch, case):
     argv, code, parts = bad_input_case(tmp_path, monkeypatch, case)
@@ -435,6 +438,44 @@ def test_audit_s_equal_to_p_exits_1(tmp_path, capsys):
     rc = main(["audit", str(dpath), "--s", "4", "--out", str(tmp_path / "audit.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: s must satisfy")
+
+
+def test_audit_csv_does_not_depend_on_the_callers_blas_threads(tmp_path, caller_blas_threads):
+    # at 100 x 300 OpenBLAS threads the Gram product, and the last bits of
+    # phi_max depend on how many threads share it
+    setter, getter = caller_blas_threads
+    n, p = 100, 300
+    write_csv(tmp_path / "X.csv", np.random.default_rng(0).standard_normal((n, p)),
+              ",".join(f"x{j}" for j in range(p)))
+    for threads in (2, 1):
+        setter(threads)
+        assert main(["audit", str(tmp_path / "X.csv"), "--s", "2", "--samples", "200",
+                     "--out", str(tmp_path / f"audit{threads}.csv")]) == 0
+        assert getter() == threads
+    assert (tmp_path / "audit2.csv").read_bytes() == (tmp_path / "audit1.csv").read_bytes()
+
+
+def test_audit_runs_one_blas_thread_and_gives_the_caller_its_count_back(
+        tmp_path, capsys, monkeypatch, caller_blas_threads):
+    from l1concave import cli
+
+    _, getter = caller_blas_threads
+    seen, real = [], cli.sparse_eigenvalue
+
+    def recording(*args, **kwargs):
+        seen.append(getter())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sparse_eigenvalue", recording)
+    dpath, _, _, _ = make_data(tmp_path, p=4)
+    out = str(tmp_path / "audit.csv")
+    assert main(["audit", str(dpath), "--s", "2", "--out", out]) == 0
+    assert getter() == 2
+    # s = p passes the flag check and fails inside the diagnostics
+    assert main(["audit", str(dpath), "--s", "4", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: s must satisfy")
+    assert getter() == 2
+    assert seen == [1, 1]
 
 
 def test_negative_c_exits_1(tmp_path, capsys):

@@ -164,8 +164,8 @@ def test_noiseless_identifiability_combined():
 
 
 def test_pool_rows_equal_serial_rows_at_desk_size():
-    # at n=80, p=200 the solver's X'r matvec (16,000 multiply-adds) is large
-    # enough for OpenBLAS to thread it; repr compares the NaN fields too
+    # the rows the pool returns are the rows the calling process computes;
+    # repr compares the NaN fields too
     cfg = SimConfig(n=80, p=200, reps=2, seed=20240817, grid_size=10,
                     methods=("lasso", "l1_scad", "oracle"))
     assert repr(run_study(cfg, threads=2).rows) == repr(run_study(cfg, threads=1).rows)
@@ -174,20 +174,6 @@ def test_pool_rows_equal_serial_rows_at_desk_size():
 def _blas_threads():
     found = simulate._openblas_threads()
     return None if found is None else found[1]()
-
-
-@pytest.fixture
-def caller_blas_threads():
-    """The test process runs two OpenBLAS threads, so a count that run_study
-    leaves at one shows; its own count is set back afterwards."""
-    found = simulate._openblas_threads()
-    if found is None:
-        pytest.skip("no OpenBLAS thread-count setter and getter in this process")
-    setter, getter = found
-    own = getter()
-    setter(2)
-    yield
-    setter(own)
 
 
 def _probe_worker(args):
@@ -232,10 +218,30 @@ def test_caller_blas_threads_are_restored_when_a_worker_raises(monkeypatch,
             raise RuntimeError("replicate 1 failed")
         return replicate_rows(cfg, r)
 
-    # forked workers inherit the patched module
+    # forked workers inherit the patched module; threads=1 runs the
+    # replicates in this process
     monkeypatch.setattr(simulate, "_replicate_rows", replicate_1_fails)
     cfg = SimConfig(n=24, p=10, reps=2, seed=11, sigma=0.3, grid_size=8,
                     c_grid=(0.25,), methods=("lasso", "oracle"))
-    with pytest.raises(RuntimeError, match="replicate 1 failed"):
-        run_study(cfg, threads=2)
-    assert _blas_threads() == before
+    for threads in (2, 1):
+        with pytest.raises(RuntimeError, match="replicate 1 failed"):
+            run_study(cfg, threads=threads)
+        assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("threads, reps", [(1, 2), (2, 1)])
+def test_serial_study_runs_one_blas_thread_and_caller_is_untouched(monkeypatch,
+                                                                   caller_blas_threads,
+                                                                   threads, reps):
+    seen, replicate_rows = [], simulate._replicate_rows
+
+    def recording(cfg, r):
+        seen.append(_blas_threads())
+        return replicate_rows(cfg, r)
+
+    monkeypatch.setattr(simulate, "_replicate_rows", recording)
+    cfg = SimConfig(n=24, p=10, reps=reps, seed=11, sigma=0.3, grid_size=8,
+                    c_grid=(0.25,), methods=("lasso", "oracle"))
+    run_study(cfg, threads=threads)
+    assert seen == [1] * reps
+    assert _blas_threads() == 2

@@ -5,7 +5,7 @@
 Run it on two checkouts (say a commit and its parent) and compare the
 printed lines; the package is imported from the ``src/`` next to this file.
 
-It prints four kinds of digest:
+It prints five kinds of digest:
 
 * the standing study hashes: sha256 of ``repr(run_study(SimConfig(n=80,
   p=200, reps=2, seed=s, methods=...), threads=2).rows)`` for the four
@@ -21,6 +21,9 @@ It prints four kinds of digest:
   score`` run on the fit it wrote: the same 10 designs, every penalty kind,
   and the flag sets none, ``--c 0.25`` and ``--lambda 0.05 --intercept``.
   Each run contributes as a path run does; a score run writes no CSV;
+* one sha256 over ``l1concave audit`` runs on the same 10 designs at
+  ``--s 2`` and ``--s 3`` with ``--samples 200``. Each run contributes as a
+  path run does;
 * one sha256 over every field of every fit on the paths that
   ``simulate._replicate_rows`` fits for the default study methods (16 paths
   of 50 levels per replicate) at seed 20240817, replicates 0 and 1: arrays as
@@ -59,6 +62,7 @@ SWEEP_KINDS = ("l1", "hard", "scad", "sica")
 SWEEP_FLAGS = ((), ("--cv",), ("--c", "0.25"), ("--c", "0.25", "--cv"))
 FIT_KINDS = ("l1", "hard", "scad", "mcp", "sica")
 FIT_FLAGS = ((), ("--c", "0.25"), ("--lambda", "0.05", "--intercept"))
+AUDIT_S, AUDIT_SAMPLES = (2, 3), 200
 PATH_SEED, PATH_REPLICATES = 20240817, 2
 
 
@@ -144,6 +148,19 @@ def fit_score_digest(workdir: str) -> tuple[str, int]:
     return digest.hexdigest(), runs
 
 
+def audit_digest(workdir: str) -> tuple[str, int]:
+    digest, runs = hashlib.sha256(), 0
+    out = os.path.join(workdir, "audit.csv")
+    for d in range(SWEEP_DESIGNS):
+        design, _ = write_design(workdir, d)
+        for s in AUDIT_S:
+            run_into(digest, f"audit design {d} s {s}",
+                     ["audit", design, "--s", str(s), "--samples", str(AUDIT_SAMPLES),
+                      "--out", out], out)
+            runs += 1
+    return digest.hexdigest(), runs
+
+
 def value_bytes(value) -> bytes:
     """Exact bytes of one FitResult field value."""
     if isinstance(value, np.ndarray):
@@ -186,7 +203,9 @@ def main() -> int:
         digest, runs = sweep_digest(workdir)
         print(f"cli path sweep ({runs} runs): {digest}", flush=True)
         digest, runs = fit_score_digest(workdir)
-    print(f"cli fit and score ({runs} runs): {digest}", flush=True)
+        print(f"cli fit and score ({runs} runs): {digest}", flush=True)
+        digest, runs = audit_digest(workdir)
+    print(f"cli audit ({runs} runs): {digest}", flush=True)
     digest, paths, fits = path_fits_digest()
     print(f"study path fits ({paths} paths, {fits} fits): {digest}")
     return 0
