@@ -198,11 +198,10 @@ def cmd_path(args) -> int:
         _warn_cv("the --cv selection", sel)
     rows = []
     for k, fit in enumerate(path.fits):
-        r = prob.y - prob.X @ fit.beta
         rows.append([
             _fmt(fit.penalty.lam), str(fit.nnz),
             _fmt(np.abs(fit.beta).sum()), _fmt(np.max(np.abs(fit.beta))),
-            _fmt(fit.kkt_inf), _fmt(float(r @ r)),
+            _fmt(fit.kkt_inf), _fmt(fit.rss),
             _fmt(bic.criterion_values[k]), str(int(fit.converged)),
             "1" if k == sel.chosen_index else "0",
         ])

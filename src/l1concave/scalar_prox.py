@@ -9,39 +9,14 @@ exactly. Soft thresholding by lambda0 leaves w = |z| - lambda0 and the
 concave kind's own thresholding problem 0.5 (w - b)^2 + p(b), which has a
 closed form for l1 and hard, and for scad (a > 2) and mcp (a > 1), where it
 is strictly convex (Fan & Li 2001; Breheny & Huang 2011). For sica the one
-interior local minimizer, a root of a cubic, is compared against zero. A
-brute-force grid-search oracle is provided for testing.
+interior local minimizer, a root of a cubic, is compared against zero.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-import numpy as np
-
-from .penalty import PenaltySpec, derivative_at_zero, penalty_value, scalar_value
-
-_CHUNK = 8192
-_ORACLE_N = 100_000  # oracle grid points: the grid alone pins the minimizer to ~1e-5
-_FINE_N = 1025  # points in the rescan of the winning cell
-
-
-@lru_cache(maxsize=1)
-def _unit_grid() -> np.ndarray:
-    grid = np.linspace(-1.0, 1.0, _ORACLE_N)
-    grid.setflags(write=False)
-    return grid
-
-
-def combined_objective(beta, z: float, p: PenaltySpec):
-    """0.5 * (z - beta)^2 + lambda0 * |beta| + p(|beta|); vectorized in beta."""
-    b = np.abs(np.asarray(beta, dtype=float))
-    out = 0.5 * (z - np.asarray(beta, dtype=float)) ** 2 + p.lambda0 * b + penalty_value(p, b)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
+from .penalty import PenaltySpec, derivative_at_zero, scalar_value
 
 _TWO_THIRDS_PI, _FOUR_THIRDS_PI = 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0
 
@@ -247,32 +222,3 @@ def level_for_threshold(p: PenaltySpec, tau: float) -> float:
         return a * d / (a + 1.0)
     return (d + 0.5 * a) ** 2 / (2.0 * (a + 1.0))
 
-
-def prox_oracle(z: float, p: PenaltySpec) -> float:
-    """Brute-force global minimizer by exhaustive grid search plus local refinement.
-
-    Searches [-|z| - lam, |z| + lam] on a 1e5-point grid, then rescans the
-    winning cell on a finer grid; zero is an explicit candidate that wins
-    exact ties. Test oracle only.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    half = abs(z) + p.lam
-    if half == 0.0:
-        return 0.0
-    u = _unit_grid()
-    # scan in cache-sized chunks; temporaries stay resident so the sweep is
-    # compute-bound instead of memory-bound
-    best_val, i = math.inf, 0
-    for s in range(0, _ORACLE_N, _CHUNK):
-        v = combined_objective(u[s:s + _CHUNK] * half, z, p)
-        j = int(np.argmin(v))
-        if v[j] < best_val:
-            best_val, i = float(v[j]), s + j
-    step = 2.0 * half / (_ORACLE_N - 1)
-    gi = -half + step * i
-    fine = np.linspace(max(gi - step, -half), min(gi + step, half), _FINE_N)
-    v = combined_objective(fine, z, p)
-    j = int(np.argmin(v))
-    return float(fine[j]) if v[j] < combined_objective(0.0, z, p) else 0.0

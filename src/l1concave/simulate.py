@@ -93,9 +93,11 @@ class SimConfig:
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("methods list is empty")
-        for m in self.methods:
+        for k, m in enumerate(self.methods):
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {KNOWN_METHODS}")
+            if m in self.methods[:k]:
+                raise ValueError(f"methods list names {m!r} twice")
         self.c_grid = tuple(self.c_grid)
         if not self.c_grid or not all(0.0 <= c < math.inf for c in self.c_grid):
             raise ValueError("c_grid must be a nonempty list of finite nonnegative constants")

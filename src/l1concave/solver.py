@@ -21,11 +21,12 @@ the start of the sweep plus the total coefficient change since, so it makes
 exactly the updates a sweep over all coordinates would. The certificate
 recomputes the residual and the gradient from scratch and checks the
 coordinatewise-global condition prox(grad_j + b_j) = b_j on every
-coordinate not provably in the zero zone. One engine runs a whole path from
-init (zero when None), setting up the design copy, its buffers and a float
-mirror of beta once; each later level starts from the beta, residual and
-gradient its predecessor's certificate computed, the arrays a fresh start
-from the same beta would compute. A single fit is a one-level path.
+coordinate not provably in the zero zone; the fit's rss is the r'r of that
+residual. One engine runs a whole path from init (zero when None), setting
+up the design copy, its buffers and a float mirror of beta once; each later
+level starts from the beta, residual, r'r and gradient its predecessor's
+certificate computed, the values a fresh start from the same beta would
+compute. A single fit is a one-level path.
 
 The lasso alone also has an exact path solver, lasso_homotopy, which the
 cross-validation folds use; every beta it returns passes the same
@@ -90,7 +91,8 @@ class FitResult:
 
     beta: np.ndarray
     support: np.ndarray
-    objective: float
+    objective: float  # rss / (2n) + the penalty at beta
+    rss: float  # r'r of the residual r = y - X beta, recomputed by the certificate
     iterations: int
     converged: bool
     kkt_inf: float
@@ -257,6 +259,7 @@ def _cd_path(X, y, specs, init, tol, max_iter):
         raise ValueError("init has wrong length")
     r = y - Xf.dot(beta)
     grad = Xf.T.dot(r) / n
+    rr = float(r.dot(r))
     _check_settings(tol, max_iter)
     from .scalar_prox import ZERO_MARGIN, make_prox, zero_threshold
 
@@ -328,7 +331,6 @@ def _cd_path(X, y, specs, init, tol, max_iter):
         zthr = zero_threshold(penalty)
         zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
         pen, bb = _penalty_sum(beta, penalty, pval), float(beta.dot(beta))  # running sums
-        rr = float(r.dot(r))
         prev_obj = start_obj = rr / n2 + pen
         objs = [prev_obj]
 
@@ -364,6 +366,7 @@ def _cd_path(X, y, specs, init, tol, max_iter):
             z = Xf.T.dot(r) / n + beta
 
         r, grad, kkt_inf, certified = _certificate(Xf, y, beta, prox, zero_zone, tol)
+        rr = float(r.dot(r))
         pen_fresh = _penalty_sum(beta, penalty, pval)
         if abs(pen - pen_fresh) > _RUNNING_RTOL * start_obj:
             raise RuntimeError(f"running penalty sum {pen!r} disagrees with its "
@@ -371,7 +374,8 @@ def _cd_path(X, y, specs, init, tol, max_iter):
         yield FitResult(
             beta=beta.copy(),
             support=beta.nonzero()[0],
-            objective=float(r.dot(r)) / n2 + pen_fresh,
+            objective=rr / n2 + pen_fresh,
+            rss=rr,
             iterations=sweeps,
             converged=converged,
             kkt_inf=kkt_inf,

@@ -33,17 +33,15 @@ class SelectionResult:
 
 def bic_select(path: PathResult, prob: RegressionProblem) -> SelectionResult:
     """Pick the path point minimizing BIC(k) = n log(RSS_k / n) + ||b_k||_0 log n,
-    recomputed from scratch; ties go to the larger lambda. RSS/n is floored at
-    1e-300, so an interpolating fit gets a finite criterion.
+    with RSS_k the fit's own rss on prob; ties go to the larger lambda. RSS/n
+    is floored at 1e-300, so an interpolating fit gets a finite criterion.
     """
     if not path.fits:
         raise ValueError("path is empty")
     n = len(prob.y)
     vals = np.empty(len(path.fits))
     for k, fit in enumerate(path.fits):
-        r = prob.y - prob.X @ fit.beta
-        rss_n = max(float(r @ r) / n, _RSS_FLOOR)
-        vals[k] = n * math.log(rss_n) + fit.nnz * math.log(n)
+        vals[k] = n * math.log(max(fit.rss / n, _RSS_FLOOR)) + fit.nnz * math.log(n)
     return SelectionResult(chosen_index=int(np.argmin(vals)), criterion_values=vals)
 
 

@@ -14,11 +14,12 @@ from scipy.linalg import hadamard
 
 from l1concave.metrics import equicorr_gram_infnorm, noise_event_check
 from l1concave.penalty import PenaltySpec, check_shape_conditions
-from l1concave.scalar_prox import prox_combined, prox_oracle
+from l1concave.scalar_prox import prox_combined
 from l1concave.simulate import SimConfig, gen_design, run_study
 from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined,
                               fit_path, refit_ls, standardize, universal_lambda0)
 from l1concave.tuning import bic_select
+from oracles import prox_oracle
 
 S_TRUE = 7  # nonzeros in the study coefficient vector
 

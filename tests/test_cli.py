@@ -186,6 +186,8 @@ def test_path_single_and_marker(tmp_path, capsys):
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
     assert [r[header.index("lambda")] for r in rows] == [_fmt(lam) for lam in grid]
+    assert [r[header.index("rss")] for r in rows] == [_fmt(fit.rss) for fit in path.fits]
+    assert [r[header.index("bic")] for r in rows] == [_fmt(v) for v in sel.criterion_values]
 
 
 def test_path_cv_marks_cv_choice(tmp_path, capsys):
@@ -321,7 +323,7 @@ STUDY_BODY = "n = 24\np = 10\nreps = 2\nseed = 11\nmethods = lasso, oracle\ngrid
     ("grid_size = 0", []), ("grid_ratio = 1", []), ("tol = -1", []), ("max_iter = 0", []),
     ("test_mode = sampled", []), ("threads = -3", []), ("beta0 = 1, x", []), ("", ["--threads", "0"]),
     ("sigma = nan", []), ("sigma = inf", []), ("c_grid = inf", []),
-    ("beta0 = " + "1, " * 9 + "inf", []),
+    ("beta0 = " + "1, " * 9 + "inf", []), ("methods = lasso, lasso", []),
 ])
 def test_study_bad_setting_exits_1_before_running(tmp_path, capsys, setting, flags):
     cfg = tmp_path / "study.cfg"

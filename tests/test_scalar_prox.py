@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from l1concave.penalty import (KINDS, PenaltySpec, check_shape_conditions, derivative_at_zero,
                                penalty_derivative)
-from l1concave.scalar_prox import (ZERO_MARGIN, _largest_cubic_root, combined_objective,
-                                   level_for_threshold, make_prox, prox_combined,
-                                   prox_oracle, zero_threshold)
+from l1concave.scalar_prox import (ZERO_MARGIN, _largest_cubic_root, level_for_threshold,
+                                   make_prox, prox_combined, zero_threshold)
+from oracles import combined_objective, prox_oracle
 
 
 def random_spec(kind, rng):

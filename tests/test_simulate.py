@@ -107,6 +107,8 @@ def test_config_validation():
         SimConfig(n=20, p=10, reps=1, seed=1, methods=())
     with pytest.raises(ValueError):
         SimConfig(n=20, p=10, reps=1, seed=1, methods=("ridge",))
+    with pytest.raises(ValueError, match="methods list names 'oracle' twice"):
+        SimConfig(n=20, p=10, reps=1, seed=1, methods=("oracle", "lasso", "oracle"))
     with pytest.raises(ValueError):
         SimConfig(n=20, p=10, reps=1, seed=1, beta0=np.ones(3))
     with pytest.raises(ValueError):

@@ -238,6 +238,21 @@ def test_objective_recompute_invariant():
         assert abs(fit.objective - fresh) <= 1e-10 * max(1.0, abs(fresh))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_rss_and_objective_read_the_certified_residual_bit_for_bit(kind):
+    # every fit of a path, the later ones started from the level before:
+    # rss is r'r of y - X beta on the Fortran copy of X, and the objective is
+    # rss / (2n) plus the penalty sum recomputed at the fit's end
+    prob, _, _ = random_problem(60, 40, 5, 0.4, seed=KINDS.index(kind))
+    grid = default_lambda_grid(prob.X, prob.y, 10, 0.05)
+    for fit in fit_path(prob, PenaltySpec(kind, 0.0, lambda0=0.05), grid).fits:
+        r = prob.y - np.asfortranarray(prob.X).dot(fit.beta)
+        assert struct.pack("<d", fit.rss) == struct.pack("<d", float(r.dot(r)))
+        pen = solver._penalty_sum(fit.beta, fit.penalty, scalar_value(fit.penalty))
+        objective = fit.rss / (2.0 * len(prob.y)) + pen
+        assert struct.pack("<d", fit.objective) == struct.pack("<d", objective)
+
+
 def test_objective_monotone_per_sweep():
     for kind, seed in (("hard", 1), ("scad", 2), ("sica", 3), ("mcp", 4)):
         spec = PenaltySpec(kind, 0.3, lambda0=0.12)

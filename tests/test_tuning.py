@@ -12,10 +12,12 @@ from l1concave.tuning import bic_select, cv_select, fold_assignment
 LASSO = PenaltySpec("l1", 0.0)
 
 
-def make_fit(beta, penalty=PenaltySpec("l1", 0.0, 0.1)):
+def make_fit(beta, prob, penalty=PenaltySpec("l1", 0.0, 0.1)):
+    """A FitResult of beta whose rss is the r'r of prob's residual."""
     beta = np.asarray(beta, dtype=float)
+    r = prob.y - prob.X @ beta
     return FitResult(beta=beta, support=np.flatnonzero(beta), objective=0.0,
-                     iterations=1, converged=True, kkt_inf=0.0,
+                     rss=float(r @ r), iterations=1, converged=True, kkt_inf=0.0,
                      coordinatewise_global=True, penalty=penalty,
                      sweep_objectives=np.zeros(2))
 
@@ -43,9 +45,12 @@ def test_bic_matches_independent_recompute():
     sel = bic_select(path, prob)
     n = len(prob.y)
     for k, fit in enumerate(fits):
+        assert sel.criterion_values[k] == n * math.log(fit.rss / n) + fit.nnz * math.log(n)
+        # the certified rss and a recompute on the C-order design differ in
+        # rounding only
         r = prob.y - prob.X @ fit.beta
-        expected = n * math.log(float(r @ r) / n) + fit.nnz * math.log(n)
-        assert sel.criterion_values[k] == expected
+        recomputed = n * math.log(float(r @ r) / n) + fit.nnz * math.log(n)
+        assert abs(sel.criterion_values[k] - recomputed) <= 1e-12 * abs(recomputed)
     assert sel.chosen_index == int(np.argmin(sel.criterion_values))
 
 
@@ -62,8 +67,8 @@ def test_bic_equal_rss_prefers_sparser():
     X = np.column_stack([v] * 6)
     y = v.copy()
     prob = RegressionProblem(X, y)
-    dense = make_fit([0.2] * 5 + [0.0])
-    sparse = make_fit([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+    dense = make_fit([0.2] * 5 + [0.0], prob)
+    sparse = make_fit([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], prob)
     path = PathResult(fits=[dense, sparse])
     sel = bic_select(path, prob)
     assert sel.chosen_index == 1
@@ -73,7 +78,7 @@ def test_bic_rss_floor_flagged():
     X = np.eye(4)
     y = np.array([1.0, 2.0, 3.0, 4.0])
     prob = RegressionProblem(X, y)
-    exact = make_fit(y)  # interpolating fit, RSS exactly zero
+    exact = make_fit(y, prob)  # interpolating fit, RSS exactly zero
     path = PathResult(fits=[exact])
     sel = bic_select(path, prob)
     # RSS/n = 0 is floored at 1e-300: n log(1e-300) + nnz log(n)

@@ -1,9 +1,12 @@
 """Digests of the outputs a change that does not move output must keep.
 
-    python3 tools/standing_check.py
+    python3 tools/standing_check.py [--dump DIR]
 
 Run it on two checkouts (say a commit and its parent) and compare the
 printed lines; the package is imported from the ``src/`` next to this file.
+With ``--dump DIR`` it also writes the records each digest hashes, and
+``tools/output_diff.py`` compares two such dumps; its docstring sets out
+what a change that moves output on purpose reports.
 
 It prints five kinds of digest:
 
@@ -31,14 +34,22 @@ It prints five kinds of digest:
   (so -0.0 differs from 0.0), the penalty as its kind and packed levels. The
   study hashes see only each BIC-chosen fit's row; this sees every fit,
   its objective and its per-sweep objectives.
+
+Each digest is the sha256 of its records, which ``--dump DIR`` writes as
+JSON: ``study.json`` maps each seed to its ``repr`` text, ``cli.json`` maps
+each of the three CLI digests to its runs (tag, exit code, standard output,
+CSV text), and ``fits.json`` lists the paths, each a list of fits, each a
+list of ``[field, kind, hex]`` with the field's exact bytes in hex.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import struct
@@ -64,11 +75,12 @@ FIT_KINDS = ("l1", "hard", "scad", "mcp", "sica")
 FIT_FLAGS = ((), ("--c", "0.25"), ("--lambda", "0.05", "--intercept"))
 AUDIT_S, AUDIT_SAMPLES = (2, 3), 200
 PATH_SEED, PATH_REPLICATES = 20240817, 2
+CLI_DIGESTS = ("cli path sweep", "cli fit and score", "cli audit")
 
 
-def study_hash(seed: int) -> str:
+def study_record(seed: int) -> str:
     cfg = SimConfig(n=80, p=200, reps=2, seed=seed, methods=STUDY_METHODS)
-    return hashlib.sha256(repr(run_study(cfg, threads=2).rows).encode()).hexdigest()
+    return repr(run_study(cfg, threads=2).rows)
 
 
 def ar1_design(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,82 +112,107 @@ def write_design(workdir: str, d: int) -> tuple[str, str]:
     return design, response
 
 
-def run_into(digest, tag: str, argv: list[str], out: str | None = None):
-    """Run the CLI on argv and add its exit code, standard output and the CSV
-    it wrote at out (empty when out is None or it wrote none) to digest."""
+def cli_record(tag: str, argv: list[str], out: str | None = None) -> dict:
+    """Run the CLI on argv: its tag, exit code, standard output (out replaced
+    by a fixed token) and the CSV it wrote at out (empty when out is None or
+    it wrote none)."""
     if out is not None and os.path.exists(out):
         os.remove(out)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
-    csv_bytes, text = b"", stdout.getvalue()
+    csv_text, text = "", stdout.getvalue()
     if out is not None:
         text = text.replace(out, "OUT")
         if os.path.exists(out):
-            with open(out, "rb") as fh:
-                csv_bytes = fh.read()
-    for part in (f"{tag}\nexit {rc}\n", text):
-        digest.update(part.encode())
-    digest.update(csv_bytes)
+            with open(out, encoding="utf-8", newline="") as fh:
+                csv_text = fh.read()
+    return {"tag": tag, "exit": rc, "stdout": text, "csv": csv_text}
 
 
-def sweep_digest(workdir: str) -> tuple[str, int]:
-    digest, runs = hashlib.sha256(), 0
-    out = os.path.join(workdir, "path.csv")
+def cli_bytes(run: dict) -> bytes:
+    """The bytes a CLI run adds to its digest."""
+    return f"{run['tag']}\nexit {run['exit']}\n{run['stdout']}{run['csv']}".encode()
+
+
+def sweep_runs(workdir: str) -> list[dict]:
+    runs, out = [], os.path.join(workdir, "path.csv")
     for d in range(SWEEP_DESIGNS):
         design, response = write_design(workdir, d)
         for kind in SWEEP_KINDS:
             for flags in SWEEP_FLAGS:
-                run_into(digest, f"design {d} {kind} {' '.join(flags)}",
-                         ["path", design, response, "--penalty", kind, *flags,
-                          "--grid-size", "20", "--out", out], out)
-                runs += 1
-    return digest.hexdigest(), runs
+                runs.append(cli_record(f"design {d} {kind} {' '.join(flags)}",
+                                       ["path", design, response, "--penalty", kind, *flags,
+                                        "--grid-size", "20", "--out", out], out))
+    return runs
 
 
-def fit_score_digest(workdir: str) -> tuple[str, int]:
-    digest, runs = hashlib.sha256(), 0
-    fit_csv = os.path.join(workdir, "fit.csv")
+def fit_score_runs(workdir: str) -> list[dict]:
+    runs, fit_csv = [], os.path.join(workdir, "fit.csv")
     for d in range(SWEEP_DESIGNS):
         design, response = write_design(workdir, d)
         for kind in FIT_KINDS:
             for flags in FIT_FLAGS:
                 args = [design, response, "--penalty", kind, *flags]
                 tag = f"design {d} {kind} {' '.join(flags)}"
-                run_into(digest, f"fit {tag}", ["fit", *args, "--out", fit_csv], fit_csv)
-                run_into(digest, f"score {tag}", ["score", *args, "--fit", fit_csv])
-                runs += 2
-    return digest.hexdigest(), runs
+                runs.append(cli_record(f"fit {tag}", ["fit", *args, "--out", fit_csv], fit_csv))
+                runs.append(cli_record(f"score {tag}", ["score", *args, "--fit", fit_csv]))
+    return runs
 
 
-def audit_digest(workdir: str) -> tuple[str, int]:
-    digest, runs = hashlib.sha256(), 0
-    out = os.path.join(workdir, "audit.csv")
+def audit_runs(workdir: str) -> list[dict]:
+    runs, out = [], os.path.join(workdir, "audit.csv")
     for d in range(SWEEP_DESIGNS):
         design, _ = write_design(workdir, d)
         for s in AUDIT_S:
-            run_into(digest, f"audit design {d} s {s}",
-                     ["audit", design, "--s", str(s), "--samples", str(AUDIT_SAMPLES),
-                      "--out", out], out)
-            runs += 1
-    return digest.hexdigest(), runs
+            runs.append(cli_record(f"audit design {d} s {s}",
+                                   ["audit", design, "--s", str(s), "--samples",
+                                    str(AUDIT_SAMPLES), "--out", out], out))
+    return runs
 
 
-def value_bytes(value) -> bytes:
-    """Exact bytes of one FitResult field value."""
+def field_record(name: str, value) -> list:
+    """[name, kind, hex] of one FitResult field: arrays as their dtype, shape
+    and bytes, floats and integers packed with struct (so -0.0 differs from
+    0.0), the penalty as its kind and packed levels."""
     if isinstance(value, np.ndarray):
-        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
-    if isinstance(value, bool):
-        return b"T" if value else b"F"
-    if isinstance(value, int):
-        return struct.pack("<q", value)
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    return value.kind.encode() + struct.pack("<3d", value.lam, value.lambda0, value.shape)
+        kind, raw = "array", f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    elif isinstance(value, bool):
+        kind, raw = "bool", b"T" if value else b"F"
+    elif isinstance(value, int):
+        kind, raw = "int", struct.pack("<q", value)
+    elif isinstance(value, float):
+        kind, raw = "float", struct.pack("<d", value)
+    else:
+        kind = "penalty"
+        raw = value.kind.encode() + struct.pack("<3d", value.lam, value.lambda0, value.shape)
+    return [name, kind, raw.hex()]
 
 
-def path_fits_digest() -> tuple[str, int, int]:
-    digest, paths = hashlib.sha256(), []
+def field_value(kind: str, hex_bytes: str):
+    """The value a field_record holds; a penalty as (kind, lam, lambda0, shape)."""
+    raw = bytes.fromhex(hex_bytes)
+    if kind == "array":
+        head, data = raw.split(b")", 1)
+        dtype, shape = head.decode().split("(")
+        return np.frombuffer(data, dtype=dtype).reshape([int(k) for k in shape.split(",") if k])
+    if kind == "bool":
+        return raw == b"T"
+    if kind == "int":
+        return struct.unpack("<q", raw)[0]
+    if kind == "float":
+        return struct.unpack("<d", raw)[0]
+    return (raw[:-24].decode(), *struct.unpack("<3d", raw[-24:]))
+
+
+def fit_record(fit) -> list[list]:
+    """The field_record of every field of a FitResult, in field order."""
+    return [field_record(f.name, getattr(fit, f.name)) for f in dataclasses.fields(fit)]
+
+
+def path_fit_records() -> list[list[list]]:
+    """Per path that _replicate_rows fits, per fit, its field_records."""
+    paths = []
     fit_path = simulate.fit_path
 
     def recording(*args, **kwargs):
@@ -189,25 +226,53 @@ def path_fits_digest() -> tuple[str, int, int]:
             simulate._replicate_rows(cfg, r)
     finally:
         simulate.fit_path = fit_path
-    fits = [fit for path in paths for fit in path.fits]
-    for fit in fits:
-        for field in dataclasses.fields(fit):
-            digest.update(field.name.encode() + value_bytes(getattr(fit, field.name)))
-    return digest.hexdigest(), len(paths), len(fits)
+    return [[fit_record(fit) for fit in path.fits] for path in paths]
 
 
-def main() -> int:
+def fits_digest(paths: list[list[list]]) -> str:
+    digest = hashlib.sha256()
+    for fit in (fit for path in paths for fit in path):
+        for name, _, hex_bytes in fit:
+            digest.update(name.encode() + bytes.fromhex(hex_bytes))
+    return digest.hexdigest()
+
+
+def write_dump(directory: str, records: dict):
+    """Write records ({"study": ..., "cli": ..., "fits": ...}) as study.json,
+    cli.json and fits.json in directory."""
+    os.makedirs(directory, exist_ok=True)
+    for name, value in records.items():
+        with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+
+
+def read_dump(directory: str) -> dict:
+    records = {}
+    for name in ("study", "cli", "fits"):
+        with open(os.path.join(directory, f"{name}.json"), encoding="utf-8") as fh:
+            records[name] = json.load(fh)
+    return records
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print the standing output digests.")
+    ap.add_argument("--dump", metavar="DIR",
+                    help="also write the records each digest hashes to DIR")
+    args = ap.parse_args(argv)
+    records = {"study": {}, "cli": {}}
     for seed in STUDY_SEEDS:
-        print(f"study seed {seed}: {study_hash(seed)}", flush=True)
+        text = records["study"][str(seed)] = study_record(seed)
+        print(f"study seed {seed}: {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
-        digest, runs = sweep_digest(workdir)
-        print(f"cli path sweep ({runs} runs): {digest}", flush=True)
-        digest, runs = fit_score_digest(workdir)
-        print(f"cli fit and score ({runs} runs): {digest}", flush=True)
-        digest, runs = audit_digest(workdir)
-    print(f"cli audit ({runs} runs): {digest}", flush=True)
-    digest, paths, fits = path_fits_digest()
-    print(f"study path fits ({paths} paths, {fits} fits): {digest}")
+        for name, runner in zip(CLI_DIGESTS, (sweep_runs, fit_score_runs, audit_runs)):
+            runs = records["cli"][name] = runner(workdir)
+            digest = hashlib.sha256(b"".join(map(cli_bytes, runs))).hexdigest()
+            print(f"{name} ({len(runs)} runs): {digest}", flush=True)
+    paths = records["fits"] = path_fit_records()
+    print(f"study path fits ({len(paths)} paths, {sum(map(len, paths))} fits): "
+          f"{fits_digest(paths)}")
+    if args.dump is not None:
+        write_dump(args.dump, records)
     return 0
 
 
