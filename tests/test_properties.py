@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l1concave import scalar_prox
+from l1concave import scalar_prox, solver
 from l1concave.penalty import KINDS, PenaltySpec
 from l1concave.simulate import DEFAULT_C_GRID, combined_lambda_grid, gen_design, study_beta0
 from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_path,
@@ -122,16 +122,21 @@ def test_each_path_fit_owns_its_beta():
     assert_identical_fits(fit_combined(prob, spec), fit_path(prob, spec, [spec.lam]).fits[0])
 
 
-def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000):
+def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000, gram_max=solver._GRAM_MAX):
     """The coordinate-descent engine without the zero-skip screen: every full
     sweep visits all p coordinates and the certificate checks all of them.
+    An active set of at most gram_max coordinates sweeps by covariance updates
+    on its Gram block and then catches the residual up with one product, as
+    the engine does; gram_max=0 sweeps on the residual everywhere. The
+    gradient is recomputed at every screen and at the end, which is what the
+    engine's reuse after a level that changes nothing amounts to.
     Returns (beta, iterations, converged, kkt_inf, coordinatewise_global)."""
     n, p = X.shape
     Xf = np.asfortranarray(X)
     beta = np.zeros(p) if init is None else np.array(init, dtype=float)
     prox = scalar_prox.make_prox(spec)
     zthr = scalar_prox.zero_threshold(spec)
-    r = y - Xf @ beta
+    r = y - Xf.dot(beta)
 
     def sweep(idx):
         nonlocal r
@@ -139,18 +144,38 @@ def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000):
         for j in idx:
             bj = beta[j]
             xj = Xf[:, j]
-            nb = prox(float(xj @ r) / n + bj)
+            nb = prox(float(xj.dot(r)) / n + bj)
             if nb != bj:
                 r += xj * (bj - nb)
                 beta[j] = nb
                 delta = max(delta, abs(nb - bj))
         return delta
 
+    def gram_sweep(idx, G, g):
+        delta = 0.0
+        for i, j in enumerate(idx):
+            bj = float(beta[j])
+            nb = prox(g[i] + bj)
+            if nb != bj:
+                step = nb - bj
+                g[:] = [gk - step * c for gk, c in zip(g, G[i])]
+                beta[j] = nb
+                delta = max(delta, abs(step))
+        return delta
+
     sweeps, converged = 0, False
     while sweeps < max_iter:
-        z = Xf.T @ r / n + beta
-        active = np.flatnonzero((beta != 0.0) | (np.abs(z) > zthr))
-        while active.size and sweeps < max_iter:
+        grad = Xf.T.dot(r) / n
+        active = np.flatnonzero((beta != 0.0) | (np.abs(grad + beta) > zthr)).tolist()
+        if 0 < len(active) <= gram_max:
+            XA = Xf[:, active]
+            G, g, start = (XA.T.dot(XA) / n).tolist(), grad[active].tolist(), beta[active]
+            while sweeps < max_iter:
+                sweeps += 1
+                if gram_sweep(active, G, g) < tol:
+                    break
+            r -= XA.dot(beta[active] - start)
+        while len(active) > gram_max and sweeps < max_iter:
             sweeps += 1
             if sweep(active) < tol:
                 break
@@ -160,8 +185,8 @@ def unscreened_cd_fit(X, y, spec, init, tol=1e-7, max_iter=1000):
         if sweep(range(p)) < tol:
             converged = True
             break
-    r = y - Xf @ beta
-    grad = Xf.T @ r / n
+    r = y - Xf.dot(beta)
+    grad = Xf.T.dot(r) / n
     cw_dev = max(abs(prox(float(grad[j]) + beta[j]) - beta[j]) for j in range(p))
     return (beta, sweeps, converged, float(np.max(np.abs(grad))),
             bool(converged and cw_dev < 10.0 * tol))
@@ -251,6 +276,64 @@ def test_screen_guards_against_rounding_at_a_tiny_threshold():
         prob = RegressionProblem(X, y)
         fit = fit_combined(prob, PenaltySpec("l1", lam), init=init)
         assert_same_as_unscreened(fit, prob, PenaltySpec("l1", 0.0, lam), init)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gram_and_residual_updates_give_the_same_path(kind):
+    # the engine sweeps the desk path's small active sets by covariance
+    # updates; the oracle at gram_max=0 sweeps every set on the residual.
+    # The two round differently but make the same visits
+    n, p = 80, 200
+    X, _ = standardize(gen_design(n, p, 0.5, 20240817))
+    prob = RegressionProblem(X, X @ study_beta0(p) + 0.25 * np.random.default_rng(7).standard_normal(n))
+    spec = PenaltySpec(kind, 0.0, lambda0=universal_lambda0(n, p, 0.25))
+    grid = combined_lambda_grid(spec, default_lambda_grid(prob.X, prob.y, 15, 0.05))
+    init = None
+    for fit in fit_path(prob, spec, grid).fits:
+        beta, iterations, converged, _, cw_global = unscreened_cd_fit(
+            prob.X, prob.y, fit.penalty, init, gram_max=0)
+        assert fit.iterations == iterations
+        assert np.array_equal(np.sign(fit.beta), np.sign(beta))
+        assert fit.converged == converged and fit.coordinatewise_global == cw_global
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+        init = beta
+
+
+def test_active_set_past_the_gram_cap_sweeps_on_the_residual():
+    # a lasso from zero at 0.05 lambda_max on a 100 x 500 AR(1) design: its
+    # first screen holds more coordinates than the cap, so it sweeps on the
+    # residual, and the later, smaller screens by covariance updates
+    n, p, rho = 100, 500, 0.5
+    rng = np.random.default_rng(20240817)
+    Z = rng.standard_normal((n, p))
+    X = np.empty((n, p))
+    X[:, 0] = Z[:, 0]
+    for j in range(1, p):
+        X[:, j] = rho * X[:, j - 1] + math.sqrt(1.0 - rho * rho) * Z[:, j]
+    y = X @ study_beta0(p) + 0.25 * rng.standard_normal(n)
+    X, _ = standardize(X)
+    lam = 0.05 * float(np.max(np.abs(X.T @ y))) / n
+    assert np.count_nonzero(np.abs(X.T @ y) / n > lam) > solver._GRAM_MAX
+    prob = RegressionProblem(X, y)
+    assert_same_as_unscreened(fit_combined(prob, PenaltySpec("l1", lam)), prob,
+                              PenaltySpec("l1", 0.0, lam), None)
+
+
+def test_first_default_level_is_an_exact_zero_at_lambda0_zero():
+    # lambda_max = ||X'y/n||_inf can round either way in the dot products
+    # the engine takes; the grid's lifted first level leaves no tie there
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n, p = rng.integers(8, 60), rng.integers(2, 80)
+        X, _ = standardize(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n) * 10**rng.uniform(-3, 3)
+        prob, lasso_grid = RegressionProblem(X, y), default_lambda_grid(X, y)
+        for kind in KINDS:
+            spec = PenaltySpec(kind, 0.0)
+            lam = float(combined_lambda_grid(spec, lasso_grid)[0])
+            fit = fit_combined(prob, replace(spec, lam=lam))
+            assert not fit.beta.any(), (seed, kind)
+            assert fit.converged and fit.coordinatewise_global, (seed, kind)
 
 
 @SMALL

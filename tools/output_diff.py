@@ -229,7 +229,7 @@ def diff_study(sa, sb, lines, found):
             changed = (set(ra) ^ set(rb)) | {k for k in ra.keys() & rb.keys()
                                              if not _same(ra[k], rb[k])}
             differ += bool(changed)
-            for k in changed:
+            for k in sorted(changed):
                 stat = fields.setdefault(k, [0, 0.0])
                 stat[0] += 1
                 stat[1] = max(stat[1], _cell_change(ra[k], rb[k]) if k in ra and k in rb
