@@ -13,9 +13,8 @@ from .metrics import (ar1_covariance, equicorr_gram_infnorm, false_signs, fp_fn,
 from .penalty import (KINDS, PenaltySpec, ShapeCheckReport, check_shape_conditions,
                       penalty_derivative, penalty_value)
 from .scalar_prox import level_for_threshold, prox_combined, zero_threshold
-from .simulate import (SimConfig, StudyReport, combined_lambda_grid, cv_lasso_start,
-                       gen_design, gen_response, run_study, study_beta0, write_raw_csv,
-                       write_report_csv)
+from .simulate import (SimConfig, StudyReport, combined_lambda_grid, gen_design,
+                       gen_response, run_study, study_beta0, write_raw_csv, write_report_csv)
 from .solver import (CertificateReport, DegenerateColumnError, FitResult,
                      PathResult, RegressionProblem, center, default_lambda_grid,
                      fit_combined, fit_path, objective_value, refit_ls,

@@ -29,8 +29,7 @@ from .metrics import (equicorr_gram_infnorm, restricted_eigenvalue_estimate,
                       sparse_eigenvalue)
 from .penalty import KINDS, PenaltySpec
 from .simulate import (SimConfig, _fmt, _one_blas_thread, _write_csv, combined_lambda_grid,
-                       cv_lasso_start, format_study_table, run_study, write_raw_csv,
-                       write_report_csv)
+                       format_study_table, run_study, write_raw_csv, write_report_csv)
 from .solver import (RegressionProblem, default_lambda_grid, fit_combined, level_grid,
                      objective_value, standardize, computable_certificate,
                      universal_lambda0)
@@ -175,9 +174,23 @@ def cmd_path(args) -> int:
         raise CLIError(f"--grid-ratio must lie strictly between 0 and 1, got {args.grid_ratio}")
     prob, scales, _ = _load_problem(args)
     n, p = prob.X.shape
+    if not 2 <= args.folds <= n:
+        raise CLIError(f"--folds must lie in [2, n] = [2, {n}], got {args.folds}")
     spec = _penalty_from_args(args, n, p, 0.0)  # fit_path sets the level per grid point
+    init = None  # zero is a certified fit at the default grid's first level, as in the study
     if args.lambdas is not None:
         grid = _parse_lambdas(args.lambdas)
+        # A hand grid may start below lambda_max, where zero is not the optimum. On 160
+        # hand-grid paths this start and zero reached different hard or sica minima in 45,
+        # this one lower in 89 differing levels and zero in 45 (a level-by-level warm-up
+        # from the grid's top: 35 lower, this start 72); no BIC index or exit code moved.
+        cv_grid = default_lambda_grid(prob.X, prob.y)
+        start_sel = cv_select(prob, PenaltySpec("l1", 0.0), cv_grid, args.folds,
+                              seed=args.seed, tol=args.tol, max_iter=args.max_iter)
+        start = fit_combined(prob, PenaltySpec("l1", float(cv_grid[start_sel.chosen_index])),
+                             tol=args.tol, max_iter=args.max_iter)
+        _warn_cv("the lasso start's CV", start_sel, start.converged)
+        init = start.beta
     else:
         # the levels whose selection thresholds the study scans, for every kind
         lasso_grid = default_lambda_grid(prob.X, prob.y, args.grid_size, args.grid_ratio)
@@ -185,11 +198,7 @@ def cmd_path(args) -> int:
             grid = combined_lambda_grid(spec, lasso_grid)
         except ValueError as exc:  # lambda0 so large that lambda0 + lam_max rounds to lambda0
             raise CLIError(f"cannot build the default grid ({exc}); pass --lambdas") from None
-    start, start_sel = cv_lasso_start(prob, default_lambda_grid(prob.X, prob.y), args.folds,
-                                      args.seed, args.tol, args.max_iter)
-    _warn_cv("the lasso start's CV", start_sel, start.converged)
-    path = solver.fit_path(prob, spec, grid, init=start.beta, tol=args.tol,
-                           max_iter=args.max_iter)
+    path = solver.fit_path(prob, spec, grid, init=init, tol=args.tol, max_iter=args.max_iter)
     bic = bic_select(path, prob)
     sel = bic
     if args.cv:
@@ -365,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit comma-separated strictly decreasing grid")
     sp.add_argument("--cv", action="store_true",
                     help="mark the cross-validation-selected row instead of the BIC one")
-    sp.add_argument("--folds", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--folds", type=int, default=10, help="CV folds (--cv, the --lambdas start)")
+    sp.add_argument("--seed", type=int, default=0, help="CV fold seed (--cv, the --lambdas start)")
     sp.add_argument("--out", default="path.csv")
     sp.set_defaults(func=cmd_path)
 

@@ -24,10 +24,10 @@ from .metrics import (_prediction_error, ar1_covariance, false_signs, fp_fn, lq_
                       noise_event_check)
 from .penalty import PenaltySpec
 from .scalar_prox import level_for_threshold
-from .solver import (FitResult, RegressionProblem, _check_settings, computable_certificate,
-                     default_lambda_grid, fit_combined, fit_path, level_grid, refit_ls,
-                     standardize, universal_lambda0)
-from .tuning import SelectionResult, bic_select, cv_select
+from .solver import (RegressionProblem, _check_settings, computable_certificate,
+                     default_lambda_grid, fit_path, level_grid, refit_ls, standardize,
+                     universal_lambda0)
+from .tuning import bic_select, cv_select  # noqa: F401 (perfbench's selftest traces it)
 
 STUDY_BETA = (1.0, -0.5, 0.7, -1.2, -0.9, 0.3, 0.55)
 
@@ -156,16 +156,6 @@ def combined_lambda_grid(spec: PenaltySpec, lasso_grid) -> np.ndarray:
     lams = np.array([level_for_threshold(spec, t) for t in taus])
     keep = np.concatenate([[True], np.diff(lams) < 0.0])
     return lams[keep]
-
-
-def cv_lasso_start(prob: RegressionProblem, cv_grid, folds: int, seed=0, tol: float = 1e-7,
-                   max_iter: int = 1000) -> tuple[FitResult, SelectionResult]:
-    """The lasso fitted at the level of cv_grid that cv_select picks, with that
-    selection: the start of `l1concave path`."""
-    sel = cv_select(prob, PenaltySpec("l1", 0.0), cv_grid, folds=folds, seed=seed, tol=tol,
-                    max_iter=max_iter)
-    lasso = PenaltySpec("l1", float(cv_grid[sel.chosen_index]))
-    return fit_combined(prob, lasso, tol=tol, max_iter=max_iter), sel
 
 
 def _row(cfg, r, method, beta_orig, Sigma0, fit=None, lam0=math.nan, c=math.nan,

@@ -9,8 +9,9 @@ from l1concave import scalar_prox
 from l1concave.cli import _STUDY_KEYS, CLIError, main, read_matrix_csv
 from l1concave.penalty import PenaltySpec
 from l1concave.scalar_prox import prox_combined
-from l1concave.simulate import SimConfig, _fmt, combined_lambda_grid, cv_lasso_start
-from l1concave.solver import RegressionProblem, default_lambda_grid, fit_path, standardize
+from l1concave.simulate import SimConfig, _fmt, combined_lambda_grid
+from l1concave.solver import (RegressionProblem, default_lambda_grid, fit_combined, fit_path,
+                              standardize, universal_lambda0)
 from l1concave.tuning import bic_select, cv_select
 
 
@@ -181,8 +182,7 @@ def test_path_single_and_marker(tmp_path, capsys):
     Xs, _ = standardize(X)
     prob, spec = RegressionProblem(Xs, y), PenaltySpec("hard", 0.1, lambda0=0.05)
     grid = combined_lambda_grid(spec, default_lambda_grid(Xs, y, 8, 0.05))
-    start = cv_lasso_start(prob, default_lambda_grid(Xs, y), 10)[0].beta
-    path = fit_path(prob, spec, grid, init=start)
+    path = fit_path(prob, spec, grid)
     sel = bic_select(path, prob)
     assert selected == [sel.chosen_index]
     assert [r[header.index("lambda")] for r in rows] == [_fmt(lam) for lam in grid]
@@ -202,35 +202,102 @@ def test_path_cv_marks_cv_choice(tmp_path, capsys):
     prob, spec = RegressionProblem(Xs, y), PenaltySpec("scad", 0.1, lambda0=0.05)
     grid = [float(r[header.index("lambda")]) for r in rows]
     assert selected == [cv_select(prob, spec, grid, 3, seed=0).chosen_index]
-    start = cv_lasso_start(prob, default_lambda_grid(Xs, y), 3)[0].beta
-    path = fit_path(prob, spec, grid, init=start)
+    path = fit_path(prob, spec, grid)
     assert [float(r[header.index("kkt_inf")]) for r in rows] == [f.kkt_inf for f in path.fits]
     assert [int(r[header.index("nnz")]) for r in rows] == [f.nnz for f in path.fits]
 
 
+def path_cells(path, sel, bic):
+    """The cells cli path writes for a path, its selection and its BIC trace."""
+    return [[_fmt(fit.penalty.lam), str(fit.nnz), _fmt(np.abs(fit.beta).sum()),
+             _fmt(np.max(np.abs(fit.beta))), _fmt(fit.kkt_inf), _fmt(fit.rss),
+             _fmt(bic.criterion_values[k]), str(int(fit.converged)),
+             "1" if k == sel.chosen_index else "0"] for k, fit in enumerate(path.fits)]
+
+
+def spy_on_cv_select(monkeypatch):
+    from l1concave import cli
+
+    seen, real = [], cli.cv_select
+
+    def spy(prob, spec, grid, folds, **kwargs):
+        seen.append({"kind": spec.kind, "folds": folds,
+                     **{k: kwargs.get(k) for k in ("seed", "tol", "max_iter")}})
+        return real(prob, spec, grid, folds, **kwargs)
+
+    monkeypatch.setattr(cli, "cv_select", spy)
+    return seen
+
+
+@pytest.mark.parametrize("cv", [False, True])
+def test_path_default_grid_starts_from_zero(tmp_path, monkeypatch, cv):
+    # zero is a certified fit at the default grid's first level, so the path
+    # starts there and runs a CV only for the --cv selection; every CV, from
+    # whichever module, draws its folds once
+    from l1concave import tuning
+
+    drawn, real = [], tuning.fold_assignment
+    monkeypatch.setattr(tuning, "fold_assignment",
+                        lambda n, folds, seed: drawn.append(folds) or real(n, folds, seed))
+    dpath, rpath, X, y = make_data(tmp_path)
+    out = tmp_path / "path.csv"
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "hard", "--c", "0.25",
+               "--grid-size", "7", "--folds", "3", "--out", str(out)] + ["--cv"] * cv)
+    assert rc == 0
+    assert drawn == [3] * cv
+    Xs, _ = standardize(X)
+    prob = RegressionProblem(Xs, y)
+    n, p = Xs.shape
+    spec = PenaltySpec("hard", 0.0, lambda0=universal_lambda0(n, p, 0.25))
+    grid = combined_lambda_grid(spec, default_lambda_grid(Xs, y, 7, 0.05))
+    path = fit_path(prob, spec, grid)
+    bic = bic_select(path, prob)
+    sel = cv_select(prob, spec, grid, 3) if cv else bic
+    assert read_rows(out)[1] == path_cells(path, sel, bic)
+
+
+def test_path_lambdas_starts_from_the_lasso_at_the_cv_level(tmp_path, monkeypatch):
+    # a hand grid may start below lambda_max, so it starts from the lasso fitted
+    # at the level of default_lambda_grid that a lasso CV picks, run at the
+    # path's own folds, seed, tol and max_iter
+    seen = spy_on_cv_select(monkeypatch)
+    dpath, rpath, X, y = make_data(tmp_path)
+    out = tmp_path / "path.csv"
+    rc = main(["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
+               "--lambdas", "0.3,0.1,0.03", "--folds", "4", "--seed", "3", "--tol", "1e-6",
+               "--max-iter", "200", "--out", str(out)])
+    assert rc == 0
+    assert seen == [{"kind": "l1", "folds": 4, "seed": 3, "tol": 1e-6, "max_iter": 200}]
+    Xs, _ = standardize(X)
+    prob, cv_grid = RegressionProblem(Xs, y), default_lambda_grid(Xs, y)
+    start_sel = cv_select(prob, PenaltySpec("l1", 0.0), cv_grid, 4, seed=3, tol=1e-6,
+                          max_iter=200)
+    start = fit_combined(prob, PenaltySpec("l1", float(cv_grid[start_sel.chosen_index])),
+                         tol=1e-6, max_iter=200)
+    assert start.converged
+    spec = PenaltySpec("scad", 0.0, lambda0=0.05)
+    path = fit_path(prob, spec, [0.3, 0.1, 0.03], init=start.beta, tol=1e-6, max_iter=200)
+    bic = bic_select(path, prob)
+    assert read_rows(out)[1] == path_cells(path, bic, bic)
+
+
 def test_path_cv_start_uses_tol_and_max_iter(tmp_path, monkeypatch):
-    # the cross-validated lasso start runs at the path's own tol and max_iter
-    from l1concave import simulate
-
-    seen, real = [], simulate.cv_select
-
-    def spy(*args, **kwargs):
-        seen.append({k: kwargs.get(k) for k in ("folds", "seed", "tol", "max_iter")})
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "cv_select", spy)
+    # the cross-validated lasso start of a --lambdas grid runs at the path's
+    # own tol and max_iter
+    seen = spy_on_cv_select(monkeypatch)
     dpath, rpath, _, _ = make_data(tmp_path)
     rc = main(["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
-               "--grid-size", "4", "--folds", "3", "--seed", "4", "--tol", "1e-4",
+               "--lambdas", "0.4,0.2,0.1,0.05", "--folds", "3", "--seed", "4", "--tol", "1e-4",
                "--max-iter", "37", "--out", str(tmp_path / "path.csv")])
     assert rc in (0, 2)
-    assert seen == [{"folds": 3, "seed": 4, "tol": 1e-4, "max_iter": 37}]
+    assert seen == [{"kind": "l1", "folds": 3, "seed": 4, "tol": 1e-4, "max_iter": 37}]
 
 
 def test_path_reports_nonconverged_cv_on_stderr(tmp_path, capsys):
     dpath, rpath, _, _ = make_data(tmp_path)
     argv = ["path", str(dpath), str(rpath), "--penalty", "scad", "--lambda0", "0.05",
-            "--grid-size", "4", "--folds", "3", "--cv", "--out", str(tmp_path / "path.csv")]
+            "--lambdas", "0.4,0.2,0.1,0.05", "--folds", "3", "--cv",
+            "--out", str(tmp_path / "path.csv")]
     assert main(argv) == 0
     clean = capsys.readouterr()
     assert clean.err == ""
@@ -275,6 +342,7 @@ def test_path_bad_grid_exits_1(tmp_path, capsys):
     (["--grid-size", "0"], "--grid-size"), (["--grid-size", "-2"], "--grid-size"),
     (["--grid-ratio", "2"], "--grid-ratio"), (["--grid-ratio", "1"], "--grid-ratio"),
     (["--grid-ratio", "0"], "--grid-ratio"), (["--grid-ratio", "nan"], "--grid-ratio"),
+    (["--folds", "1"], "--folds"), (["--folds", "31"], "--folds"),
 ])
 def test_path_bad_grid_flag_is_named(tmp_path, capsys, flags, flag):
     dpath, rpath, _, _ = make_data(tmp_path)

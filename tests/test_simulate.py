@@ -7,11 +7,9 @@ import pytest
 
 from l1concave import simulate
 from l1concave.penalty import PenaltySpec
-from l1concave.simulate import (METRIC_NAMES, SimConfig, aggregate,
-                                combined_lambda_grid, cv_lasso_start, gen_design,
-                                gen_response, run_study, study_beta0)
-from l1concave.solver import RegressionProblem, default_lambda_grid, fit_combined, standardize
-from l1concave.tuning import cv_select
+from l1concave.simulate import (METRIC_NAMES, SimConfig, aggregate, combined_lambda_grid,
+                                gen_design, gen_response, run_study, study_beta0)
+from l1concave.solver import default_lambda_grid, standardize
 
 
 def test_study_beta0():
@@ -85,19 +83,6 @@ def test_combined_lambda_grid_is_the_lasso_grid(kind):
     for lam0 in (1e-3, 0.05, 0.8):
         grid = combined_lambda_grid(PenaltySpec(kind, 0.7, lambda0=lam0), lasso)
         assert grid == pytest.approx(lasso, rel=0.0, abs=1e-12)
-
-
-def test_cv_lasso_start_is_the_lasso_at_the_cv_level():
-    X = gen_design(40, 12, 0.3, seed=11)
-    y = gen_response(X, study_beta0(12), 0.3, seed=12)
-    Xs, _ = standardize(X)
-    grid = default_lambda_grid(Xs, y, 12, 0.05)
-    prob = RegressionProblem(Xs, y)
-    sel = cv_select(prob, PenaltySpec("l1", 0.0), grid, 4, seed=3)
-    want = fit_combined(prob, PenaltySpec("l1", float(grid[sel.chosen_index]))).beta
-    start, start_sel = cv_lasso_start(prob, grid, 4, 3)
-    assert np.array_equal(start.beta, want) and start.converged
-    assert start_sel.chosen_index == sel.chosen_index
 
 
 def test_config_validation():

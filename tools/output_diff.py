@@ -4,7 +4,7 @@
     python3 tools/standing_check.py --dump B    # in the second
     python3 tools/output_diff.py A B
 
-It prints, for the records behind the eight standing digests:
+It prints, for the records behind the nine standing digests:
 
 * the FitResult fields added or removed, and per shared field how many of
   the 1,600 study path fits differ in any bit, with the largest absolute

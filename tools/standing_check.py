@@ -8,7 +8,7 @@ With ``--dump DIR`` it also writes the records each digest hashes, and
 ``tools/output_diff.py`` compares two such dumps; its docstring sets out
 what a change that moves output on purpose reports.
 
-It prints five kinds of digest:
+It prints six kinds of digest:
 
 * the standing study hashes: sha256 of ``repr(run_study(SimConfig(n=80,
   p=200, reps=2, seed=s, methods=...), threads=2).rows)`` for the four
@@ -20,6 +20,12 @@ It prints five kinds of digest:
   arguments, exit code, standard output (with the output path replaced by
   a fixed token) and the bytes of the CSV it wrote. Standard error is not
   part of the digest;
+* one sha256 over ``l1concave path --lambdas 0.4,0.2,0.1,0.05,0.025`` runs
+  on the same 10 designs and four kinds, with no other flag. Each run
+  contributes as a sweep run does. Only a ``--lambdas`` grid starts from
+  the cross-validated lasso, so these are the only standing runs that start
+  reaches; they have their own digest so that the sweep digest stays
+  comparable with its earlier values;
 * one sha256 over ``l1concave fit`` runs, each followed by an ``l1concave
   score`` run on the fit it wrote: the same 10 designs, every penalty kind,
   and the flag sets none, ``--c 0.25`` and ``--lambda 0.05 --intercept``.
@@ -37,7 +43,7 @@ It prints five kinds of digest:
 
 Each digest is the sha256 of its records, which ``--dump DIR`` writes as
 JSON: ``study.json`` maps each seed to its ``repr`` text, ``cli.json`` maps
-each of the three CLI digests to its runs (tag, exit code, standard output,
+each of the four CLI digests to its runs (tag, exit code, standard output,
 CSV text), and ``fits.json`` lists the paths, each a list of fits, each a
 list of ``[field, kind, hex]`` with the field's exact bytes in hex.
 """
@@ -71,11 +77,12 @@ SWEEP_N, SWEEP_P, SWEEP_RHO, SWEEP_SIGMA = 60, 120, 0.5, 0.3
 SWEEP_BETA = (1.0, -0.5, 0.7, -1.2, -0.9, 0.3, 0.55)
 SWEEP_KINDS = ("l1", "hard", "scad", "sica")
 SWEEP_FLAGS = ((), ("--cv",), ("--c", "0.25"), ("--c", "0.25", "--cv"))
+LAMBDAS_FLAGS = ("--lambdas", "0.4,0.2,0.1,0.05,0.025")
 FIT_KINDS = ("l1", "hard", "scad", "mcp", "sica")
 FIT_FLAGS = ((), ("--c", "0.25"), ("--lambda", "0.05", "--intercept"))
 AUDIT_S, AUDIT_SAMPLES = (2, 3), 200
 PATH_SEED, PATH_REPLICATES = 20240817, 2
-CLI_DIGESTS = ("cli path sweep", "cli fit and score", "cli audit")
+CLI_DIGESTS = ("cli path sweep", "cli fit and score", "cli audit", "cli path --lambdas")
 
 
 def study_record(seed: int) -> str:
@@ -135,16 +142,20 @@ def cli_bytes(run: dict) -> bytes:
     return f"{run['tag']}\nexit {run['exit']}\n{run['stdout']}{run['csv']}".encode()
 
 
-def sweep_runs(workdir: str) -> list[dict]:
+def sweep_runs(workdir: str, flag_sets=SWEEP_FLAGS, grid=("--grid-size", "20")) -> list[dict]:
     runs, out = [], os.path.join(workdir, "path.csv")
     for d in range(SWEEP_DESIGNS):
         design, response = write_design(workdir, d)
         for kind in SWEEP_KINDS:
-            for flags in SWEEP_FLAGS:
+            for flags in flag_sets:
                 runs.append(cli_record(f"design {d} {kind} {' '.join(flags)}",
                                        ["path", design, response, "--penalty", kind, *flags,
-                                        "--grid-size", "20", "--out", out], out))
+                                        *grid, "--out", out], out))
     return runs
+
+
+def lambdas_runs(workdir: str) -> list[dict]:
+    return sweep_runs(workdir, (LAMBDAS_FLAGS,), ())
 
 
 def fit_score_runs(workdir: str) -> list[dict]:
@@ -264,7 +275,8 @@ def main(argv=None) -> int:
         text = records["study"][str(seed)] = study_record(seed)
         print(f"study seed {seed}: {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for name, runner in zip(CLI_DIGESTS, (sweep_runs, fit_score_runs, audit_runs)):
+        for name, runner in zip(CLI_DIGESTS, (sweep_runs, fit_score_runs, audit_runs,
+                                              lambdas_runs)):
             runs = records["cli"][name] = runner(workdir)
             digest = hashlib.sha256(b"".join(map(cli_bytes, runs))).hexdigest()
             print(f"{name} ({len(runs)} runs): {digest}", flush=True)
