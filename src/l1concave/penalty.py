@@ -107,7 +107,7 @@ def penalty_value(p: PenaltySpec, t):
     if p.kind == "l1":
         out = lam * t
     elif p.kind == "hard":
-        out = 0.5 * (lam**2 - np.square(np.clip(lam - t, 0.0, None)))
+        out = np.where(t < lam, t * (lam - 0.5 * t), 0.5 * lam**2)
     elif p.kind == "scad":
         mid = (2.0 * a * lam * t - t * t - lam**2) / (2.0 * (a - 1.0))
         out = np.where(t <= lam, lam * t, np.where(t <= a * lam, mid, 0.5 * (a + 1.0) * lam**2))
@@ -128,7 +128,7 @@ def scalar_value(p: PenaltySpec):
     if p.kind == "l1":
         return lambda t: lam * t
     if p.kind == "hard":
-        return lambda t: 0.5 * (lam2 - (lam - t) * (lam - t)) if t < lam else 0.5 * lam2
+        return lambda t: t * (lam - 0.5 * t) if t < lam else 0.5 * lam2
     if p.kind == "scad":
         slope, den, top = 2.0 * a * lam, 2.0 * (a - 1.0), 0.5 * (a + 1.0) * lam2
         return lambda t: (lam * t if t <= lam

@@ -211,15 +211,10 @@ def objective_value(X, y, beta, p: PenaltySpec) -> float:
 
 
 def _penalty_sum(beta, p: PenaltySpec, pval) -> float:
-    """lambda0 ||beta||_1 + sum_j p(|b_j|) as objective_value sums it, bit for
-    bit: the array penalty_value(p, |beta|) is built from pval = scalar_value(p),
-    evaluated only on the support and once at 0.0."""
-    ab = np.abs(beta)
-    v = np.empty(ab.size)
-    v.fill(pval(0.0))
-    nz = ab.nonzero()[0]
-    v[nz] = [pval(t) for t in ab[nz].tolist()]
-    return float(p.lambda0 * ab.sum() + v.sum())
+    """lambda0 ||beta||_1 + sum_j p(|b_j|), with pval = scalar_value(p): the
+    terms lambda0 t + pval(t) over the support's t = |b_j|, added left to
+    right, as the engine's running sum adds them; a zero adds exactly 0.0."""
+    return sum((p.lambda0 * t + pval(t) for t in np.abs(beta[beta.nonzero()]).tolist()), 0.0)
 
 
 def _design(X):
@@ -295,10 +290,8 @@ def _cd_path(X, y, specs, init, tol, max_iter):
         nonlocal pen, bb, changes
         changes += 1
         beta[j] = bl[j] = nb
-        anb = abs(nb)
-        tn = l0 * anb + pval(anb)
-        pen += tn - term[j]
-        term[j] = tn
+        anb, abj = abs(nb), abs(bj)
+        pen += (l0 * anb + pval(anb)) - (l0 * abj + pval(abj))
         bb += nb * nb - bj * bj
 
     def descent(delta) -> float:
@@ -365,11 +358,6 @@ def _cd_path(X, y, specs, init, tol, max_iter):
     for penalty in specs:
         prox = make_prox(penalty)
         pval, l0 = scalar_value(penalty), penalty.lambda0
-        # term[j] = lambda0 |b_j| + p(|b_j|), so an update evaluates p once
-        term = [l0 * 0.0 + pval(0.0)] * p
-        for j in beta.nonzero()[0].tolist():
-            abj = abs(bl[j])
-            term[j] = l0 * abj + pval(abj)
         zthr = zero_threshold(penalty)
         zero_zone = zthr * (1.0 - ZERO_MARGIN)  # prox returns exactly 0.0 up to here
         pen, bb = _penalty_sum(beta, penalty, pval), float(beta.dot(beta))  # running sums

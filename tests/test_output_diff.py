@@ -68,3 +68,21 @@ def test_a_sign_an_exit_code_and_a_field_are_all_that_is_reported(tmp_path, caps
         "  cli path sweep: exit code changed in 1 of 2 runs",
     ]
     assert "    'design 1 hard': exit 0 -> 2" in out.splitlines()
+
+
+def test_changed_stdout_lines_are_grouped_by_their_first_word(tmp_path, capsys):
+    a = synthetic_records()
+    for run in a["cli"]["cli path sweep"]:
+        run["stdout"] = "penalty hard lam=0.5\nobjective 0.25\nconverged 1 iterations 3\n"
+    b = copy.deepcopy(a)
+    runs = b["cli"]["cli path sweep"]
+    runs[0]["stdout"] = "penalty hard lam=0.5\nobjective 0.2500000001\nconverged 1 iterations 3\n"
+    runs[1]["stdout"] = "penalty hard lam=0.5\nobjective 0.3\nconverged 0 iterations 3\nextra\n"
+
+    assert output_diff.main([dumped(tmp_path, "a", a), dumped(tmp_path, "b", b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[out.index("  exit code changed in 0 runs, standard output in 2") + 1:][:3] == [
+        "  stdout lines 'converged': 1 changed, max rel 1",
+        "  stdout lines 'extra': 1 changed, max rel inf",
+        "  stdout lines 'objective': 2 changed, max rel 0.2",
+    ]

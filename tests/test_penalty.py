@@ -34,9 +34,11 @@ def test_hard_value_paper_form():
 
 
 def test_value_zero_for_every_kind():
+    # at the hard level, lam**2 and lam * lam round apart
     rng = np.random.default_rng(0)
-    for kind in KINDS:
-        assert penalty_value(random_spec(kind, rng), 0.0) == 0.0
+    for p in [random_spec(kind, rng) for kind in KINDS] + [PenaltySpec("hard", 143.21690455614362)]:
+        v, s = penalty_value(p, 0.0), scalar_value(p)(0.0)
+        assert (math.copysign(1.0, v), v, math.copysign(1.0, s), s) == (1.0, 0.0, 1.0, 0.0)
 
 
 def test_scad_value_matches_derivative_quadrature():
@@ -203,8 +205,8 @@ def log_uniform(lo, hi):
 @st.composite
 def specs_and_points(draw):
     # t at 0, at a piece edge (lam, 2 lam, a lam) times 1 +- 10^-k, or
-    # anywhere from 1e-16 lam to 1e6 lam; t << lam makes hard's lam^2 - c^2
-    # cancel, which shows a one-ulp difference in c^2
+    # anywhere from 1e-16 lam to 1e6 lam, where t << lam would make a
+    # difference of squares cancel and show a one-ulp difference in a square
     kind = draw(st.sampled_from(KINDS))
     lam = draw(st.just(0.0) | log_uniform(1e-8, 1e4))
     shape = {"scad": st.floats(2.0 + 1e-9, 50.0), "mcp": st.floats(1.0 + 1e-9, 50.0),
@@ -220,7 +222,7 @@ def specs_and_points(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(specs_and_points())
-# numpy's scalar c**2 is one ulp off c * c here, and lam^2 - c^2 cancels
+# numpy's scalar c**2 is one ulp off c * c here, for c = lam - t
 @example((PenaltySpec("hard", 798.0232418909301), 7.980232418909301e-10))
 def test_scalar_value_equals_penalty_value_bit_for_bit(case):
     p, t = case

@@ -244,12 +244,19 @@ def test_objective_recompute_invariant():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rss_and_objective_read_the_certified_residual_bit_for_bit(kind):
-    # every fit of a path, the later ones started from the level before:
-    # rss is r'r of y - X beta on the Fortran copy of X, and the objective is
-    # rss / (2n) plus the penalty sum recomputed at the fit's end
+    # every fit of a path, the later ones started from the level before, and
+    # of paths started from the last beta of a coarser path, whose support
+    # seeds the running penalty sum: rss is r'r of y - X beta on the Fortran
+    # copy of X, and the objective is rss / (2n) plus the penalty sum
+    # recomputed at the fit's end
     prob, _, _ = random_problem(60, 40, 5, 0.4, seed=KINDS.index(kind))
+    spec = PenaltySpec(kind, 0.0, lambda0=0.05)
     grid = default_lambda_grid(prob.X, prob.y, 10, 0.05)
-    for fit in fit_path(prob, PenaltySpec(kind, 0.0, lambda0=0.05), grid).fits:
+    coarse = fit_path(prob, spec, grid[::3]).fits[-1].beta
+    assert coarse.any()
+    fits = [fit for init in (None, coarse) for levels in (grid, grid[5:])
+            for fit in fit_path(prob, spec, levels, init=init).fits]
+    for fit in fits:
         r = prob.y - np.asfortranarray(prob.X).dot(fit.beta)
         assert struct.pack("<d", fit.rss) == struct.pack("<d", float(r.dot(r)))
         pen = solver._penalty_sum(fit.beta, fit.penalty, scalar_value(fit.penalty))
@@ -257,20 +264,38 @@ def test_rss_and_objective_read_the_certified_residual_bit_for_bit(kind):
         assert struct.pack("<d", fit.objective) == struct.pack("<d", objective)
 
 
+def tie_design(seed):
+    """A standardized (X, y) of random shape and scale, and lambda_max = max |X'y| / n."""
+    rng = np.random.default_rng(seed)
+    n, p = rng.integers(8, 60), rng.integers(2, 80)
+    X, _ = standardize(rng.standard_normal((n, p)))
+    y = rng.standard_normal(n) * 10**rng.uniform(-3, 3)
+    return X, y, float(np.max(np.abs(X.T @ y)) / n)
+
+
 def test_certificate_recomputes_after_a_lone_closing_sweep_moves():
     # at the level lambda_max = max |X'y| / n itself the screen's matvec
     # leaves every coordinate out, and the closing sweep's dot product lifts
     # one by a rounding error; that one change must send the certificate to
     # a fresh residual instead of the start's
-    rng = np.random.default_rng(5)
-    n, p = rng.integers(8, 60), rng.integers(2, 80)
-    X, _ = standardize(rng.standard_normal((n, p)))
-    y = rng.standard_normal(n) * 10**rng.uniform(-3, 3)
-    fit = fit_combined(RegressionProblem(X, y), PenaltySpec("l1", float(np.max(np.abs(X.T @ y)) / n)))
+    X, y, lam_max = tie_design(5)
+    n = len(y)
+    fit = fit_combined(RegressionProblem(X, y), PenaltySpec("l1", lam_max))
     assert fit.iterations == 1 and fit.beta.any()
     r = y - np.asfortranarray(X).dot(fit.beta)
     assert struct.pack("<d", fit.rss) == struct.pack("<d", float(r.dot(r)))
     assert fit.kkt_inf == float(np.max(np.abs(np.asfortranarray(X).T.dot(r) / n)))
+
+
+@pytest.mark.xfail(strict=True, reason="the screen's matvec and the closing sweep's dot "
+                   "product read a tie at a hand-set lambda_max on different sides")
+def test_hard_converges_at_a_hand_set_lambda_max():
+    # default_lambda_grid lifts its top level past the tie; a level set by
+    # hand is not lifted, and hard runs to max_iter on this 54 x 69 design
+    # (at seeds 5, 14, 23, 30 and 39 too, and sica at seed 27)
+    X, y, lam_max = tie_design(13)
+    fit = fit_combined(RegressionProblem(X, y), PenaltySpec("hard", lam_max))
+    assert fit.converged
 
 
 def test_objective_monotone_per_sweep():
@@ -348,16 +373,25 @@ def sparse_betas(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_betas())
-def test_penalty_sum_equals_the_numpy_penalty_bit_for_bit(case):
-    # the engine's running-sum check builds the penalty array from the scalar
-    # penalty on the support; it must sum to exactly the numpy formula
+def test_penalty_sum_agrees_with_the_numpy_penalty(case):
+    """The engine sums lambda0 t + p(t) over the support left to right; numpy
+    sums lambda0 ||b||_1 and p(|b|) apart, pairwise. With no nonzero the sum
+    is exactly 0.0. Otherwise all terms are nonnegative, each order rounds
+    by at most (k + 2) eps relative over a support of size k, plus an
+    underflow of at most one subnormal step per operation, and the two must
+    agree within 2 (k + 2) (eps |numpy sum| + the smallest subnormal)."""
     beta, spec = case
     pval = scalar_value(spec)
     for b in (beta, np.zeros(beta.size), -np.zeros(beta.size)):
         ab = np.abs(b)
         want = float(spec.lambda0 * ab.sum() + penalty_value(spec, ab).sum())
         got = solver._penalty_sum(b, spec, pval)
-        assert struct.pack("<d", got) == struct.pack("<d", want)
+        k = np.count_nonzero(b)
+        if k == 0:
+            assert struct.pack("<d", got) == struct.pack("<d", 0.0) and want == 0.0
+        else:
+            tiny = np.finfo(float).smallest_subnormal
+            assert abs(got - want) <= 2.0 * (k + 2) * (np.finfo(float).eps * want + tiny)
 
 
 def test_coordinatewise_global_certificate():

@@ -12,8 +12,10 @@ It prints, for the records behind the nine standing digests:
 * the largest |d beta| over the fits, absolute and relative to the fit's
   ||beta||_inf, and the support, sign, ``converged`` and
   ``coordinatewise_global`` flips;
-* per CLI digest, the runs whose exit code or standard output changed,
-  and per CSV column how many cells changed and the largest relative change,
+* per CLI digest, the runs whose exit code or standard output changed;
+  the changed standard-output lines grouped by their first word, with per
+  group the count and the largest relative change of their numbers; and per
+  CSV column how many cells changed and the largest relative change,
   listing every change of a ``selected`` cell;
 * the study rows that differ, per row field with the largest relative
   change, and the study means per method and metric, A -> B, over all four
@@ -152,6 +154,22 @@ def _cell_change(a, b) -> float:
         return math.inf
 
 
+def _line_changes(a: str, b: str, groups: dict):
+    """Adds each changed line of the outputs a and b, paired in order, to
+    groups: first word -> [lines, largest relative change of a token]."""
+    la, lb = a.splitlines(), b.splitlines()
+    la += [""] * (len(lb) - len(la))
+    lb += [""] * (len(la) - len(lb))
+    for x, y in zip(la, lb):
+        if x == y:
+            continue
+        ta, tb = x.split(), y.split()
+        stat = groups.setdefault((ta or tb or [""])[0], [0, 0.0])
+        stat[0] += 1
+        rel = max((_cell_change(u, v) for u, v in zip(ta, tb) if u != v), default=0.0)
+        stat[1] = max(stat[1], rel if len(ta) == len(tb) else math.inf)
+
+
 def diff_cli(ca, cb, lines, found):
     for command in sorted(set(ca) | set(cb)):
         ra = {run["tag"]: run for run in ca.get(command, [])}
@@ -165,6 +183,11 @@ def diff_cli(ca, cb, lines, found):
         stdout = sum(ra[t]["stdout"] != rb[t]["stdout"] for t in tags)
         lines.append(f"  exit code changed in {len(exits)} runs, standard output in {stdout}")
         lines.extend(f"    {t!r}: exit {ra[t]['exit']} -> {rb[t]['exit']}" for t in exits)
+        groups: dict[str, list] = {}
+        for t in tags:
+            _line_changes(ra[t]["stdout"], rb[t]["stdout"], groups)
+        lines.extend(f"  stdout lines {word!r}: {count} changed, max rel {_g(rel)}"
+                     for word, (count, rel) in sorted(groups.items()))
         if exits:
             found.append(f"{command}: exit code changed in {len(exits)} of {len(tags)} runs")
         if stdout:
