@@ -17,20 +17,25 @@ import output_diff  # noqa: E402
 import standing_check  # noqa: E402
 
 
-def synthetic_records() -> dict:
-    """Records shaped like a standing-check dump: one path of real fits, two
-    `cli path` runs and one study row per method (with a NaN cell)."""
+def path_records(kind: str) -> list[list]:
+    """The fit records of one small real path of penalty kind."""
     rng = np.random.default_rng(0)
     X, _ = standardize(rng.standard_normal((20, 6)))
     y = X[:, 0] - 0.5 * X[:, 1] + 0.1 * rng.standard_normal(20)
-    path = fit_path(RegressionProblem(X, y), PenaltySpec("hard", 0.0),
+    path = fit_path(RegressionProblem(X, y), PenaltySpec(kind, 0.0),
                     default_lambda_grid(X, y, 4, 0.1))
+    return [standing_check.fit_record(fit) for fit in path.fits]
+
+
+def synthetic_records() -> dict:
+    """Records shaped like a standing-check dump: one path of real fits, two
+    `cli path` runs and one study row per method (with a NaN cell)."""
     runs = [{"tag": f"design {d} hard", "exit": 0, "stdout": "path of 2 fits\n",
              "csv": "lambda,rss,selected\n0.5,1.25,1\n0.25,1.0,0\n"} for d in range(2)]
     rows = [{"replicate": 0, "method": m, **{k: 0.5 for k in METRIC_NAMES}, "lam": math.nan}
             for m in ("lasso", "oracle")]
     return {"study": {"1": repr(rows)}, "cli": {"cli path sweep": runs},
-            "fits": [[standing_check.fit_record(fit) for fit in path.fits]]}
+            "fits": [path_records("hard")]}
 
 
 def dumped(tmp_path, name, records):
@@ -86,3 +91,23 @@ def test_changed_stdout_lines_are_grouped_by_their_first_word(tmp_path, capsys):
         "  stdout lines 'extra': 1 changed, max rel inf",
         "  stdout lines 'objective': 2 changed, max rel 0.2",
     ]
+
+
+def test_the_fit_table_is_grouped_by_penalty_kind(tmp_path, capsys):
+    a = synthetic_records()
+    a["fits"].append(path_records("sica"))
+    b = copy.deepcopy(a)
+    sica = b["fits"][1]
+    objective = standing_check.field_value(*sica[2][2][1:])  # fit 2, field 2 is objective
+    sica[2][2] = standing_check.field_record("objective", objective * (1.0 + 2.0 ** -52))
+
+    assert output_diff.main([dumped(tmp_path, "a", a), dumped(tmp_path, "b", b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    hard, n = len(a["fits"][0]), len(sica)
+    assert f"  hard   no field differs in its {hard} fits" in out
+    rows = [line.split() for line in out if line.startswith("  sica ")]
+    assert [row[:2] for row in rows] == [["sica", name] for name, _, _ in sica[0]]
+    assert [row[2:5] for row in rows if row[1] != "objective"] == [["0", "of", str(n)]] * (
+        len(rows) - 1)
+    assert next(row for row in rows if row[1] == "objective")[2:5] == ["1", "of", str(n)]
+    assert out[out.index("summary:") + 1:] == [f"  fits: objective differs in 1 of {hard + n}"]

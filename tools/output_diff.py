@@ -6,9 +6,11 @@
 
 It prints, for the records behind the nine standing digests:
 
-* the FitResult fields added or removed, and per shared field how many of
-  the 1,600 study path fits differ in any bit, with the largest absolute
-  change and the largest change relative to max |A value| of that fit;
+* the FitResult fields added or removed, and per penalty kind of the 1,600
+  study path fits and per shared field how many of that kind's fits differ
+  in any bit, with the largest absolute change and the largest change
+  relative to max |A value| of that fit; a kind none of whose fits differs
+  takes one line;
 * the largest |d beta| over the fits, absolute and relative to the fit's
   ||beta||_inf, and the support, sign, ``converged`` and
   ``coordinatewise_global`` flips;
@@ -87,6 +89,22 @@ def _fit_dicts(paths) -> list[dict]:
             for path in paths for fit in path]
 
 
+def _field_change(pairs, name) -> tuple[int, float, float]:
+    """Over the (A, B) fit pairs: how many differ in field name, and the
+    largest absolute and relative change."""
+    count, big, rel = 0, 0.0, 0.0
+    for a, b in pairs:
+        if a[name] == b[name]:
+            continue
+        count += 1
+        va, vb = field_value(*a[name]), field_value(*b[name])
+        if a[name][0] == "penalty":
+            va, vb = (va[1:], vb[1:]) if va[0] == vb[0] else (0.0, math.inf)
+        d, r = _change(va, vb)
+        big, rel = max(big, d), max(rel, r)
+    return count, big, rel
+
+
 def diff_fits(pa, pb, lines, found):
     fa, fb = _fit_dicts(pa), _fit_dicts(pb)
     names_a = list(fa[0]) if fa else []
@@ -104,21 +122,24 @@ def diff_fits(pa, pb, lines, found):
     if shape_a != shape_b:
         found.append("the paths or their lengths differ; fits compared in order")
     pairs = list(zip(fa, fb))
-    stats = {}  # field -> (fits that differ, max abs change, max rel change)
-    lines.append(f"  {'field':<22} {'fits differ':>14} {'max abs':>10} {'max rel':>10}")
-    for name in (f for f in names_a if f in names_b):
-        count, big, rel = 0, 0.0, 0.0
-        for a, b in pairs:
-            if a[name] == b[name]:
-                continue
-            count += 1
-            va, vb = field_value(*a[name]), field_value(*b[name])
-            if a[name][0] == "penalty":
-                va, vb = (va[1:], vb[1:]) if va[0] == vb[0] else (0.0, math.inf)
-            d, r = _change(va, vb)
-            big, rel = max(big, d), max(rel, r)
-        stats[name] = count, big, rel
-        lines.append(f"  {name:<22} {f'{count} of {len(pairs)}':>14} {_g(big):>10} {_g(rel):>10}")
+    shared = [f for f in names_a if f in names_b]
+    groups: dict[str, list] = {}  # penalty kind of the A fit -> its (A, B) pairs
+    for a, b in pairs:
+        kind = field_value(*a["penalty"])[0] if "penalty" in a else "?"
+        groups.setdefault(kind, []).append((a, b))
+    stats = dict.fromkeys(shared, (0, 0.0, 0.0))  # field -> (fits differ, max abs, max rel)
+    lines.append(f"  {'kind':<6} {'field':<22} {'fits differ':>14} {'max abs':>10} {'max rel':>10}")
+    for kind, group in groups.items():
+        rows = {name: _field_change(group, name) for name in shared}
+        for name, (count, big, rel) in rows.items():
+            total, big0, rel0 = stats[name]
+            stats[name] = total + count, max(big0, big), max(rel0, rel)
+        if not any(count for count, _, _ in rows.values()):
+            lines.append(f"  {kind:<6} no field differs in its {len(group)} fits")
+            continue
+        lines.extend(f"  {kind:<6} {name:<22} {f'{count} of {len(group)}':>14} {_g(big):>10} "
+                     f"{_g(rel):>10}" for name, (count, big, rel) in rows.items())
+    for name, (count, _, _) in stats.items():
         if count:
             found.append(f"fits: {name} differs in {count} of {len(pairs)}")
     if "beta" not in stats:
