@@ -1,15 +1,12 @@
 """Concave penalty family used alongside a separate L1 term.
 
-The combined penalty applied to each coefficient magnitude t >= 0 is
-
-    lambda0 * t + p(t),
-
-where p is a nondecreasing concave function with p(0) = 0. This module
-implements the concave component p only: its value (on arrays, and as a
-pure-float callable for the solver's sweep), its first and second
-derivatives, and a numerical verifier for the shape conditions under which
-coordinatewise-global minimizers acquire the hard-thresholding feature
-(every nonzero coefficient exceeds (1 - c1) * lam in magnitude).
+The combined penalty on each coefficient magnitude t >= 0 is lambda0 * t + p(t),
+where p is a nondecreasing concave function with p(0) = 0. This module holds
+the concave component p only. Each kind is written once, as one table of
+pieces with p, p' and p'' on each (_pieces); the array forms, the pure-float p
+for the solver's sweep and p'(0+) all read it. A numerical verifier checks the
+shape conditions under which coordinatewise-global minimizers acquire the
+hard-thresholding feature (every nonzero coefficient exceeds (1 - c1) * lam).
 """
 
 from __future__ import annotations
@@ -21,7 +18,8 @@ import numpy as np
 
 KINDS = ("l1", "hard", "scad", "mcp", "sica")
 
-DEFAULT_SHAPE = {"scad": 3.7, "mcp": 3.0, "sica": 0.1}
+# per kind with a shape: (default a, the bound a must exceed)
+_SHAPE_RULE = {"scad": (3.7, 2.0), "mcp": (3.0, 1.0), "sica": (0.1, 0.0)}
 
 # check identifiers reported by check_shape_conditions
 CHECK_MONOTONE = "monotone"
@@ -62,17 +60,12 @@ class PenaltySpec:
         object.__setattr__(self, "lambda0", float(self.lambda0))
         if not 0.0 <= self.lam < math.inf or not 0.0 <= self.lambda0 < math.inf:
             raise ValueError("lam and lambda0 must be finite and nonnegative")
-        a = self.shape
+        a, rule = self.shape, _SHAPE_RULE.get(self.kind)
         if a is None or (isinstance(a, float) and math.isnan(a)):
-            a = DEFAULT_SHAPE.get(self.kind, math.nan)
-        a = float(a) if a is not None else math.nan
-        object.__setattr__(self, "shape", a)
-        if self.kind == "scad" and not 2.0 < a < math.inf:
-            raise ValueError("scad requires a finite shape > 2")
-        if self.kind == "mcp" and not 1.0 < a < math.inf:
-            raise ValueError("mcp requires a finite shape > 1")
-        if self.kind == "sica" and not 0.0 < a < math.inf:
-            raise ValueError("sica requires a finite shape > 0")
+            a = rule[0] if rule else math.nan
+        object.__setattr__(self, "shape", float(a))
+        if rule and not rule[1] < self.shape < math.inf:
+            raise ValueError(f"{self.kind} requires a finite shape > {rule[1]:g}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +82,54 @@ class ShapeCheckReport:
 
 def _check_t(t, positive=False):
     t = np.asarray(t, dtype=float)
-    if positive:
-        if (t <= 0.0).any():
-            raise ValueError("t must be positive")
-    elif (t < 0.0).any():
-        raise ValueError("t must be nonnegative")
+    if (t <= 0.0 if positive else t < 0.0).any():
+        raise ValueError("t must be positive" if positive else "t must be nonnegative")
     return t
+
+
+def _pieces(p: PenaltySpec):
+    """The one definition of p, p' and p'' for p's kind: (p'(0+), edges, pieces).
+
+    Piece i holds for t <= edges[i] and the last piece for every larger t, so
+    a kink takes its left piece (left limits of p' and p''). Each piece is
+    (value, slope, curvature), each a float or a callable of t built from
+    + - * / only, which gives the same bits on a float and on an array.
+    """
+    lam, a = p.lam, p.shape
+    lam2 = lam**2  # every kind raises OverflowError at a level whose square overflows
+    if p.kind == "l1":
+        return lam, (), [(lambda t: lam * t, lam, 0.0)]
+    if p.kind == "hard":
+        return lam, (lam,), [(lambda t: t * (lam - 0.5 * t), lambda t: lam - t, -1.0),
+                             (0.5 * lam2, 0.0, 0.0)]
+    if p.kind == "scad":
+        two_alam, den, alam, am1 = 2.0 * a * lam, 2.0 * (a - 1.0), a * lam, a - 1.0
+        return lam, (lam, alam), [
+            (lambda t: lam * t, lam, 0.0),
+            (lambda t: (two_alam * t - t * t - lam2) / den, lambda t: (alam - t) / am1, -1.0 / am1),
+            (0.5 * (a + 1.0) * lam2, 0.0, 0.0)]
+    if p.kind == "mcp":
+        a2 = 2.0 * a
+        return lam, (a * lam,), [(lambda t: lam * t - t * t / a2, lambda t: lam - t / a, -1.0 / a),
+                                 (0.5 * a * lam2, 0.0, 0.0)]
+    # sica; scalar_prox's Newton loop inlines this slope and curvature
+    c, coef = lam * (a + 1.0), lam * a * (a + 1.0)
+    coef2 = 2.0 * coef
+    return lam * (a + 1.0) / a, (), [(lambda t: c * t / (a + t),
+                                      lambda t: coef / ((a + t) * (a + t)),
+                                      lambda t: -coef2 / ((a + t) * (a + t) * (a + t)))]
+
+
+def _on_array(p: PenaltySpec, t, col: int):
+    """Column col (0: p, 1: p', 2: p'') of p's pieces at the array t: each piece
+    evaluated over all of t, joined with np.where from the last piece back."""
+    _, edges, pieces = _pieces(p)
+    *heads, out = [f(t) if callable(f) else f for f in (piece[col] for piece in pieces)]
+    for edge, val in zip(edges[::-1], heads[::-1]):
+        out = np.where(t <= edge, val, out)
+    if t.ndim == 0:
+        return float(out)
+    return out if isinstance(out, np.ndarray) else np.full_like(t, out)  # a constant single piece
 
 
 def penalty_value(p: PenaltySpec, t):
@@ -102,40 +137,22 @@ def penalty_value(p: PenaltySpec, t):
 
     Accepts scalars or arrays. Raises ValueError for negative t.
     """
-    t = _check_t(t)
-    lam, a = p.lam, p.shape
-    if p.kind == "l1":
-        out = lam * t
-    elif p.kind == "hard":
-        out = np.where(t < lam, t * (lam - 0.5 * t), 0.5 * lam**2)
-    elif p.kind == "scad":
-        mid = (2.0 * a * lam * t - t * t - lam**2) / (2.0 * (a - 1.0))
-        out = np.where(t <= lam, lam * t, np.where(t <= a * lam, mid, 0.5 * (a + 1.0) * lam**2))
-    elif p.kind == "mcp":
-        out = np.where(t <= a * lam, lam * t - t * t / (2.0 * a), 0.5 * a * lam**2)
-    else:  # sica
-        out = lam * (a + 1.0) * t / (a + t)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _on_array(p, _check_t(t), 0)
 
 
 def scalar_value(p: PenaltySpec):
     """p(t) as a pure-float callable for hot loops, without the t >= 0 check;
-    equal to penalty_value(p, t) bit for bit (same arithmetic, same order)."""
-    lam, a = p.lam, p.shape
-    lam2, alam, c = lam**2, a * lam, lam * (a + 1.0)
-    if p.kind == "l1":
-        return lambda t: lam * t
-    if p.kind == "hard":
-        return lambda t: t * (lam - 0.5 * t) if t < lam else 0.5 * lam2
-    if p.kind == "scad":
-        slope, den, top = 2.0 * a * lam, 2.0 * (a - 1.0), 0.5 * (a + 1.0) * lam2
-        return lambda t: (lam * t if t <= lam
-                          else (slope * t - t * t - lam2) / den if t <= alam else top)
-    if p.kind == "mcp":
-        return lambda t: lam * t - t * t / (2.0 * a) if t <= alam else 0.5 * a * lam2
-    return lambda t: c * t / (a + t)  # sica
+    equal to penalty_value(p, t) bit for bit (the same pieces). Every kind with
+    more than one piece ends on a constant plateau."""
+    _, edges, pieces = _pieces(p)
+    f = [piece[0] for piece in pieces]
+    if not edges:
+        return f[0]
+    if len(edges) == 1:
+        (e,), (g, top) = edges, f
+        return lambda t: g(t) if t <= e else top
+    (e0, e1), (g0, g1, top) = edges, f
+    return lambda t: g0(t) if t <= e0 else g1(t) if t <= e1 else top
 
 
 def penalty_derivative(p: PenaltySpec, t):
@@ -143,45 +160,16 @@ def penalty_derivative(p: PenaltySpec, t):
 
     Nonincreasing in t by concavity. Raises ValueError for t <= 0.
     """
-    t = _check_t(t, positive=True)
-    # kinks take the left limit: t = lam for hard/scad, t = a*lam for mcp
-    lam, a = p.lam, p.shape
-    if p.kind == "l1":
-        out = np.full_like(t, lam)
-    elif p.kind == "hard":
-        out = np.where(t < lam, lam - t, 0.0)
-    elif p.kind == "scad":
-        out = np.where(t <= lam, lam, np.where(t < a * lam, (a * lam - t) / (a - 1.0), 0.0))
-    elif p.kind == "mcp":
-        out = np.where(t <= a * lam, lam - t / a, 0.0)
-    else:  # sica
-        out = lam * a * (a + 1.0) / (a + t) ** 2
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _on_array(p, _check_t(t, positive=True), 1)
 
 
 def derivative_at_zero(p: PenaltySpec) -> float:
     """Right limit p'(0+); the largest slope of the concave component."""
-    lam, a = p.lam, p.shape
-    if p.kind == "sica":
-        return lam * (a + 1.0) / a
-    return lam
+    return _pieces(p)[0]
 
 
 def _second_derivative(p: PenaltySpec, t):
-    # left-limit convention at kinks, matching penalty_derivative
-    lam, a = p.lam, p.shape
-    t = np.asarray(t, dtype=float)
-    if p.kind == "l1":
-        return np.zeros_like(t)
-    if p.kind == "hard":
-        return np.where(t <= lam, -1.0, 0.0)
-    if p.kind == "scad":
-        return np.where(t <= lam, 0.0, np.where(t <= a * lam, -1.0 / (a - 1.0), 0.0))
-    if p.kind == "mcp":
-        return np.where(t <= a * lam, -1.0 / a, 0.0)
-    return -2.0 * lam * a * (a + 1.0) / (a + t) ** 3
+    return _on_array(p, np.asarray(t, dtype=float), 2)
 
 
 def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
@@ -202,15 +190,13 @@ def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
     hi = lam * max(3.0, (p.shape + 1.0) if p.kind in ("scad", "mcp") else 3.0)
     ts = np.linspace(0.0, hi, _SHAPE_GRID_N)
     vals = penalty_value(p, ts)
-    scale = max(1.0, float(np.max(np.abs(vals))) if ts.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(vals))))
 
-    diffs = np.diff(vals)
-    bad = np.flatnonzero(diffs < -1e-12 * scale)
+    bad = np.flatnonzero(np.diff(vals) < -1e-12 * scale)
     if bad.size:
         failed.append((CHECK_MONOTONE, float(ts[bad[0] + 1])))
 
-    second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    bad = np.flatnonzero(second > 1e-10)
+    bad = np.flatnonzero(vals[2:] - 2.0 * vals[1:-1] + vals[:-2] > 1e-10)
     if bad.size:
         failed.append((CHECK_CONCAVE, float(ts[bad[0] + 1])))
 
@@ -226,8 +212,7 @@ def check_shape_conditions(p: PenaltySpec, c1: float) -> ShapeCheckReport:
         failed.append((CHECK_THRESHOLD_DERIVATIVE, td))
 
     te = np.linspace(0.0, td, _SHAPE_GRID_N)
-    neg_curv = -_second_derivative(p, te)
-    bad = np.flatnonzero(np.diff(neg_curv) > 1e-12)
+    bad = np.flatnonzero(np.diff(-_second_derivative(p, te)) > 1e-12)
     if bad.size:
         failed.append((CHECK_CURVATURE_DECREASING, float(te[bad[0] + 1])))
 

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l1concave.penalty import (CHECK_DOMINATES_HARD, CHECK_THRESHOLD_DERIVATIVE,
-                               KINDS, PenaltySpec, check_shape_conditions,
-                               penalty_derivative, penalty_value, scalar_value)
+                               KINDS, PenaltySpec, _pieces, _second_derivative,
+                               check_shape_conditions, penalty_derivative, penalty_value,
+                               scalar_value)
 
 
 def random_spec(kind, rng, lam=None):
@@ -71,6 +72,7 @@ def test_derivative_examples_and_domain():
 
 
 def test_derivative_matches_finite_differences():
+    # p' against a central difference of p, and p'' against one of p'
     rng = np.random.default_rng(11)
     h = 1e-6
     for kind in KINDS:
@@ -86,6 +88,9 @@ def test_derivative_matches_finite_differences():
                 fd = (penalty_value(p, t + h) - penalty_value(p, t - h)) / (2 * h)
                 d = penalty_derivative(p, t)
                 assert abs(fd - d) <= 1e-6 * max(1.0, abs(d))
+                fd2 = (penalty_derivative(p, t + h) - penalty_derivative(p, t - h)) / (2 * h)
+                d2 = _second_derivative(p, t)
+                assert abs(fd2 - d2) <= 1e-6 * max(1.0, abs(d2))
 
 
 def test_value_monotone_concave_random():
@@ -229,3 +234,19 @@ def test_scalar_value_equals_penalty_value_bit_for_bit(case):
     v = scalar_value(p)(t)
     assert type(v) is float
     assert v == penalty_value(p, t) == penalty_value(p, np.array([t]))[0]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.just(0.0) | log_uniform(1e-8, 1e4), log_uniform(1e-4, 1e2), log_uniform(1e-12, 1e6))
+def test_sica_slope_and_curvature_equal_the_prox_inlined_forms_bit_for_bit(lam, a, b):
+    # scalar_prox.make_prox's sica Newton loop inlines p'(b) as coef / t2 and
+    # p''(b) as -coef2 / (t2 * t), with the names below; a change to either
+    # side, those expressions or the table's sica piece, must fail here
+    spec = PenaltySpec("sica", lam, shape=a)
+    [(_, slope, curvature)] = _pieces(spec)[2]
+    coef = lam * a * (a + 1.0)
+    coef2 = 2.0 * coef
+    t = a + b
+    t2 = t * t
+    assert slope(b).hex() == (coef / t2).hex() == penalty_derivative(spec, b).hex()
+    assert curvature(b).hex() == (-coef2 / (t2 * t)).hex() == _second_derivative(spec, b).hex()

@@ -286,6 +286,17 @@ def frozen_sica_prox(lam, l0, a, z, taken):
 EPS = np.finfo(float).eps
 
 
+def sica_objective_excess(lam, l0, a, z, b1, b2):
+    """q(b1) - q(b2) for q(b) = 0.5 (z - b)^2 + lambda0 |b| + p(|b|), sica's
+    p(t) = c t / (a + t), c = lam (a + 1), and b1, b2 of z's sign or zero. In
+    the factored form d (0.5 (|b1| + |b2|) - |z| + lambda0) + c a d / ((a +
+    |b1|) (a + |b2|)), d = |b1| - |b2|, no two nearly equal objectives are
+    subtracted, so the float result keeps the exact difference's scale."""
+    m1, m2 = abs(b1), abs(b2)
+    d, c = m1 - m2, lam * (a + 1.0)
+    return d * (0.5 * (m1 + m2) - abs(z) + l0) + c * a * d / ((a + m1) * (a + m2))
+
+
 def assert_agrees_in_objective(lam, l0, a, z, want):
     """The sica prox's objective q at z exceeds q at the reference's result
     want by at most 4 eps q(0), q(0) = z^2 / 2. Objectives, not arguments:
@@ -293,9 +304,9 @@ def assert_agrees_in_objective(lam, l0, a, z, want):
     differ by up to about 1e-7 |z| while their objectives agree to rounding."""
     spec = PenaltySpec("sica", lam, lambda0=l0, shape=a)
     got = make_prox(spec)(z)
-    assert got == 0.0 or math.copysign(1.0, got) == math.copysign(1.0, z)
-    excess = combined_objective(got, z, spec) - combined_objective(want, z, spec)
-    assert excess <= 4.0 * EPS * 0.5 * z * z
+    for b in (got, want):
+        assert b == 0.0 or math.copysign(1.0, b) == math.copysign(1.0, z)
+    assert sica_objective_excess(lam, l0, a, z, got, want) <= 4.0 * EPS * 0.5 * z * z
 
 
 @st.composite
